@@ -69,6 +69,56 @@ void BM_BroadcastAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_BroadcastAdd);
 
+// --- The broadcast-plan kernels (DESIGN.md §8) at the shapes a `train`
+// --- round feeds them: a synthetic batch of 9 through the width-16 ConvNet's
+// --- 12x12 feature maps. 1 thread, so the columns compare kernel code only.
+
+void BM_PerChannelMul(benchmark::State& state) {
+  const PoolScope pool(1);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  const auto w = qd::Tensor::randn({1, 16, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::mul(x, w));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_PerChannelMul);
+
+void BM_InstanceNormStats(benchmark::State& state) {
+  const PoolScope pool(1);
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(x, {9, 16, 1, 1}));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_InstanceNormStats);
+
+void BM_BiasGrad(benchmark::State& state) {
+  const PoolScope pool(1);
+  qd::Rng rng(1);
+  const auto g = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::reduce_sum_to(g, {1, 16, 1, 1}));
+  state.SetItemsProcessed(state.iterations() * g.numel());
+}
+BENCHMARK(BM_BiasGrad);
+
+void BM_BroadcastToPlanes(benchmark::State& state) {
+  const PoolScope pool(1);
+  qd::Rng rng(1);
+  const auto s = qd::Tensor::randn({9, 16, 1, 1}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::broadcast_to(s, {9, 16, 12, 12}));
+  state.SetItemsProcessed(state.iterations() * 9 * 16 * 12 * 12);
+}
+BENCHMARK(BM_BroadcastToPlanes);
+
+void BM_ConvPermute(benchmark::State& state) {
+  const PoolScope pool(1);
+  qd::Rng rng(1);
+  const auto y = qd::Tensor::randn({16, 9, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::permute(y, {1, 0, 2, 3}));
+  state.SetItemsProcessed(state.iterations() * y.numel());
+}
+BENCHMARK(BM_ConvPermute);
+
 qd::nn::ConvNetConfig bench_net() {
   qd::nn::ConvNetConfig cfg;
   cfg.in_channels = 3;

@@ -8,6 +8,23 @@ cd "$REPO"
 
 ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 
+# Hermeticity stress: ctest runs every gtest case as its own process, so
+# under -j the suites that touch files, sockets and the shared pool (store,
+# net, tensor) run side by side. Five full passes at -j$(nproc) turn a shared
+# path or port into a failure here rather than a rare flake later. Any failed
+# pass fails the script (see the exit at the end).
+STRESS_FAILED=0
+{
+  for pass in 1 2 3 4 5; do
+    echo "stress pass $pass/5"
+    ctest --test-dir "$BUILD" -j"$(nproc)" -L '^(store|net|tensor)$' --output-on-failure ||
+      STRESS_FAILED=1
+  done
+  exit "$STRESS_FAILED"
+} 2>&1 | tee stress_output.txt
+STRESS_FAILED=${PIPESTATUS[0]}
+echo "stress exit: $STRESS_FAILED" | tee -a stress_output.txt
+
 # Static-analysis pass: qdlint (and clang-tidy when installed) runs before
 # the sanitizer rebuilds — it is the cheapest gate, so it fails fastest.
 scripts/lint.sh "$BUILD" 2>&1 | tee lint_output.txt
@@ -152,3 +169,6 @@ if [ -f BENCH_scale_shard.json ]; then
 else
   echo "scale-shard bench: MISSING BENCH_scale_shard.json" | tee -a bench_output.txt
 fi
+
+# The stress step above is a gate, not a report: a failed pass fails the run.
+exit "$STRESS_FAILED"

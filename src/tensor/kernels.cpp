@@ -1,6 +1,7 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,44 +28,127 @@ std::vector<std::int64_t> broadcast_strides(const Shape& in, const Shape& out) {
   return strides;
 }
 
-/// Multi-index of flat position `flat` in `shape` (row-major).
-std::vector<std::int64_t> unflatten(std::int64_t flat, const Shape& shape) {
-  std::vector<std::int64_t> idx(shape.size(), 0);
-  for (int d = static_cast<int>(shape.size()) - 1; d >= 0; --d) {
-    const auto ud = static_cast<std::size_t>(d);
-    idx[ud] = flat % shape[ud];
-    flat /= shape[ud];
+// Broadcast plans (DESIGN.md §8 "Broadcast plans"). A strided kernel walks a
+// contiguous row-major result while reading N operands through per-dimension
+// strides. The plan drops size-1 dims and merges each adjacent pair of dims
+// that is contiguous for every operand (outer stride == inner stride * inner
+// extent), so the result is walked as (outer..., inner) runs and each operand
+// advances along the inner run by one fixed stride. Coalescing only renames
+// the lattice: every result element still reads the same operand elements in
+// the same order, so the bits are those of a per-element odometer.
+constexpr int kMaxPlanDims = 16;
+
+template <std::size_t N>
+struct Plan {
+  int rank = 0;  // >= 1 once built; dim rank-1 is the inner run
+  std::array<std::int64_t, kMaxPlanDims> extent{};
+  std::array<std::array<std::int64_t, kMaxPlanDims>, N> stride{};
+};
+
+template <std::size_t N>
+Plan<N> make_plan(const Shape& shape, const std::array<std::vector<std::int64_t>, N>& strides) {
+  Plan<N> p;
+  for (std::size_t d = 0; d < shape.size(); ++d) {
+    if (shape[d] == 1) continue;
+    bool merges = p.rank > 0;
+    for (std::size_t k = 0; k < N && merges; ++k) {
+      merges = p.stride[k][p.rank - 1] == strides[k][d] * shape[d];
+    }
+    if (merges) {
+      p.extent[p.rank - 1] *= shape[d];
+      for (std::size_t k = 0; k < N; ++k) p.stride[k][p.rank - 1] = strides[k][d];
+      continue;
+    }
+    if (p.rank == kMaxPlanDims) {
+      throw std::invalid_argument("tensor kernel: " + shape_to_string(shape) + " keeps more than " +
+                                  std::to_string(kMaxPlanDims) + " dims after coalescing");
+    }
+    p.extent[p.rank] = shape[d];
+    for (std::size_t k = 0; k < N; ++k) p.stride[k][p.rank] = strides[k][d];
+    ++p.rank;
   }
-  return idx;
+  if (p.rank == 0) {  // one element: a single run of length 1 (its stride is never stepped)
+    p.rank = 1;
+    p.extent[0] = 1;
+    for (std::size_t k = 0; k < N; ++k) p.stride[k][0] = 1;
+  }
+  return p;
 }
 
-std::int64_t offset_of(const std::vector<std::int64_t>& idx,
-                       const std::vector<std::int64_t>& strides) {
-  std::int64_t off = 0;
-  for (std::size_t d = 0; d < idx.size(); ++d) off += idx[d] * strides[d];
-  return off;
-}
-
-/// Gathers out[flat] = da[offset(flat)] for flat in [begin, end), where the
-/// offset walks `strides` over `out_shape` (an odometer seeked to `begin`).
-/// Pure per-element map: safe and bit-stable under any output partition.
-void strided_gather(std::span<const float> da, std::span<float> od, const Shape& out_shape,
-                    const std::vector<std::int64_t>& strides, std::int64_t begin,
-                    std::int64_t end) {
-  auto idx = unflatten(begin, out_shape);
-  std::int64_t src = offset_of(idx, strides);
-  const auto rank = out_shape.size();
-  for (std::int64_t flat = begin; flat < end; ++flat) {
-    od[static_cast<std::size_t>(flat)] = da[static_cast<std::size_t>(src)];
-    for (int d = static_cast<int>(rank) - 1; d >= 0; --d) {
+/// Walks result elements [lo, hi) of `p` as inner runs: run(flat, off, n)
+/// covers results flat .. flat+n-1, whose operand-k elements sit at
+/// off[k] + i * p.stride[k][p.rank-1]. The index state is fixed-size; the
+/// only div/mod is the seek to `lo`.
+template <std::size_t N, typename Run>
+void for_each_run(const Plan<N>& p, std::int64_t lo, std::int64_t hi, Run run) {
+  const int in = p.rank - 1;
+  std::array<std::int64_t, kMaxPlanDims> idx{};
+  std::array<std::int64_t, N> off{};
+  std::int64_t rem = lo;
+  for (int d = in; d >= 0 && rem != 0; --d) {
+    const auto ud = static_cast<std::size_t>(d);
+    idx[ud] = rem % p.extent[ud];
+    rem /= p.extent[ud];
+    for (std::size_t k = 0; k < N; ++k) off[k] += idx[ud] * p.stride[k][ud];
+  }
+  const auto uin = static_cast<std::size_t>(in);
+  for (std::int64_t flat = lo;;) {
+    const std::int64_t n = std::min(p.extent[uin] - idx[uin], hi - flat);
+    run(flat, off, n);
+    flat += n;
+    if (flat >= hi) return;
+    // The run reached the end of the inner dim: rewind it, step the outer odometer.
+    for (std::size_t k = 0; k < N; ++k) off[k] -= idx[uin] * p.stride[k][uin];
+    idx[uin] = 0;
+    for (int d = in - 1; d >= 0; --d) {
       const auto ud = static_cast<std::size_t>(d);
-      ++idx[ud];
-      src += strides[ud];
-      if (idx[ud] < out_shape[ud]) break;
-      src -= strides[ud] * out_shape[ud];
+      for (std::size_t k = 0; k < N; ++k) off[k] += p.stride[k][ud];
+      if (++idx[ud] < p.extent[ud]) break;
+      for (std::size_t k = 0; k < N; ++k) off[k] -= p.stride[k][ud] * p.extent[ud];
       idx[ud] = 0;
     }
   }
+}
+
+/// Gathers out[flat] = da[offset(flat)] for flat in [begin, end) along a
+/// one-operand plan. Pure per-element map: safe and bit-stable under any
+/// output partition.
+void strided_gather(std::span<const float> da, std::span<float> od, const Plan<1>& plan,
+                    std::int64_t begin, std::int64_t end) {
+  const std::int64_t s = plan.stride[0][static_cast<std::size_t>(plan.rank - 1)];
+  for_each_run(plan, begin, end, [&](std::int64_t flat, const std::array<std::int64_t, 1>& off,
+                                     std::int64_t n) {
+    float* o = od.data() + flat;
+    const float* x = da.data() + off[0];
+    if (s == 1) {
+      std::copy(x, x + n, o);
+    } else if (s == 0) {
+      std::fill(o, o + n, *x);
+    } else {
+      for (std::int64_t i = 0; i < n; ++i) o[i] = x[i * s];
+    }
+  });
+}
+
+/// Sums kChains outputs of reduce_sum_to at once: chain c adds up the
+/// reduced lattice `red` (of `count` points) based at x + c*ks into o[c],
+/// from 0.0f in increasing input-flat order. The chains are independent, so
+/// interleaving them only hides add latency; no chain's order changes.
+constexpr int kSumChains = 4;
+
+template <int kChains>
+void sum_chains(const Plan<1>& red, std::int64_t count, const float* x, std::int64_t ks,
+                float* o) {
+  const std::int64_t s = red.stride[0][static_cast<std::size_t>(red.rank - 1)];
+  std::array<float, kChains> acc{};
+  for_each_run(red, 0, count, [&](std::int64_t, const std::array<std::int64_t, 1>& off,
+                                  std::int64_t n) {
+    const float* p = x + off[0];
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (int c = 0; c < kChains; ++c) acc[c] += p[c * ks + j * s];
+    }
+  });
+  for (int c = 0; c < kChains; ++c) o[c] = acc[c];
 }
 
 template <typename F>
@@ -91,31 +175,33 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F f, const char* name) {
                                 shape_to_string(a.shape()) + " with " + shape_to_string(b.shape()));
   }
   Tensor out(out_shape);
-  const auto sa = broadcast_strides(a.shape(), out_shape);
-  const auto sb = broadcast_strides(b.shape(), out_shape);
-  const auto rank = out_shape.size();
+  const auto plan = make_plan<2>(
+      out_shape, {broadcast_strides(a.shape(), out_shape), broadcast_strides(b.shape(), out_shape)});
+  // Both operands are contiguous up to broadcasting, so each inner stride is
+  // 1 (the operand spans the inner run) or 0 (it is broadcast along it).
+  const auto in = static_cast<std::size_t>(plan.rank - 1);
+  const bool a_runs = plan.stride[0][in] != 0, b_runs = plan.stride[1][in] != 0;
   auto da = a.data(), db = b.data();
   auto od = out.data();
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
       0, out.numel(), grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-        auto idx = unflatten(lo, out_shape);
-        std::int64_t ia = offset_of(idx, sa), ib = offset_of(idx, sb);
-        for (std::int64_t flat = lo; flat < hi; ++flat) {
-          od[static_cast<std::size_t>(flat)] =
-              f(da[static_cast<std::size_t>(ia)], db[static_cast<std::size_t>(ib)]);
-          // Odometer increment.
-          for (int d = static_cast<int>(rank) - 1; d >= 0; --d) {
-            const auto ud = static_cast<std::size_t>(d);
-            ++idx[ud];
-            ia += sa[ud];
-            ib += sb[ud];
-            if (idx[ud] < out_shape[ud]) break;
-            ia -= sa[ud] * out_shape[ud];
-            ib -= sb[ud] * out_shape[ud];
-            idx[ud] = 0;
+        // qdlint: shared-write(each run writes only od[flat,flat+n) inside this chunk's slice)
+        for_each_run(plan, lo, hi, [&](std::int64_t flat, const std::array<std::int64_t, 2>& off,
+                                       std::int64_t n) {
+          float* o = od.data() + flat;
+          const float* x = da.data() + off[0];
+          const float* y = db.data() + off[1];
+          if (a_runs && b_runs) {
+            for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
+          } else if (a_runs) {
+            const float yv = *y;
+            for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
+          } else {
+            const float xv = *x;
+            for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
           }
-        }
+        });
       });
   return out;
 }
@@ -260,12 +346,13 @@ Tensor permute(const Tensor& a, const std::vector<int>& dims) {
   for (int i = 0; i < rank; ++i) {
     strides[static_cast<std::size_t>(i)] = in_strides[static_cast<std::size_t>(dims[static_cast<std::size_t>(i)])];
   }
+  const auto plan = make_plan<1>(out_shape, {std::move(strides)});
   auto da = a.data();
   auto od = out.data();
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(strided_gather writes only od[lo,hi); da is read-only)
       0, out.numel(), grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-        strided_gather(da, od, out_shape, strides, lo, hi);
+        strided_gather(da, od, plan, lo, hi);
       });
   return out;
 }
@@ -282,58 +369,49 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
   const std::size_t in_rank = in_shape.size();
   const std::size_t off = in_rank - target_shape.size();
   // Split input dimensions into kept (present in the target) and reduced
-  // (missing or broadcast). Each output element sums its reduced sub-lattice
-  // in increasing input-flat order — exactly the per-element accumulation
-  // order of a serial streaming pass — so partitioning over *output*
-  // elements is both race-free and bit-stable at any thread count.
-  std::vector<std::int64_t> red_extent, red_stride;
+  // (missing or broadcast), each coalesced on its own. The target's non-1
+  // dims are exactly the kept dims in order, so output o is the o-th point
+  // of the kept lattice. Each output element sums its reduced sub-lattice in
+  // increasing input-flat order from 0.0f — exactly the per-element
+  // accumulation order of a serial streaming pass — so partitioning over
+  // *output* elements is both race-free and bit-stable at any thread count.
+  Shape kept_extent, red_extent;
+  std::vector<std::int64_t> kept_stride, red_stride;
   for (std::size_t d = 0; d < in_rank; ++d) {
-    if (d < off || target_shape[d - off] == 1) {
-      if (in_shape[d] > 1) {
-        red_extent.push_back(in_shape[d]);
-        red_stride.push_back(in_strides[d]);
-      }
-    }
+    const bool reduced = d < off || target_shape[d - off] == 1;
+    (reduced ? red_extent : kept_extent).push_back(in_shape[d]);
+    (reduced ? red_stride : kept_stride).push_back(in_strides[d]);
   }
-  std::int64_t reduce_count = 1;
-  for (const auto e : red_extent) reduce_count *= e;
+  const auto kept = make_plan<1>(kept_extent, {std::move(kept_stride)});
+  const std::int64_t reduce_count = numel(red_extent);
   auto da = a.data();
   auto od = out.data();
+  if (reduce_count == 1) {
+    // Nothing is summed: a plain copy, so -0.0f and NaN payloads survive.
+    ThreadPool::global().parallel_for(
+        // qdlint: shared-write(strided_gather writes only od[lo,hi); da is read-only)
+        0, out.numel(), grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+          strided_gather(da, od, kept, lo, hi);
+        });
+    return out;
+  }
+  if (reduce_count == 0) return out;  // every output is an empty sum: 0.0f
+  const auto red = make_plan<1>(red_extent, {std::move(red_stride)});
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
       0, out.numel(), grain_for(reduce_count), [&](std::int64_t lo, std::int64_t hi) {
-        std::vector<std::int64_t> ridx(red_extent.size());
-        for (std::int64_t o = lo; o < hi; ++o) {
-          // Base input offset of this output element (kept dims only).
-          std::int64_t base = 0, rem = o;
-          for (int dt = static_cast<int>(target_shape.size()) - 1; dt >= 0; --dt) {
-            const auto ud = static_cast<std::size_t>(dt);
-            const std::int64_t id = rem % target_shape[ud];
-            rem /= target_shape[ud];
-            if (target_shape[ud] != 1) base += id * in_strides[off + ud];
+        const std::int64_t ks = kept.stride[0][static_cast<std::size_t>(kept.rank - 1)];
+        // qdlint: shared-write(each run writes only od[flat,flat+n) inside this chunk's slice)
+        for_each_run(kept, lo, hi, [&](std::int64_t flat, const std::array<std::int64_t, 1>& base,
+                                       std::int64_t n) {
+          float* o = od.data() + flat;
+          const float* x = da.data() + base[0];
+          std::int64_t i = 0;
+          for (; i + kSumChains <= n; i += kSumChains) {
+            sum_chains<kSumChains>(red, reduce_count, x + i * ks, ks, o + i);
           }
-          float acc = 0.0f;
-          if (red_extent.empty()) {
-            acc = da[static_cast<std::size_t>(base)];
-          } else {
-            std::fill(ridx.begin(), ridx.end(), 0);
-            std::int64_t roff = 0;
-            for (;;) {
-              acc += da[static_cast<std::size_t>(base + roff)];
-              int d = static_cast<int>(red_extent.size()) - 1;
-              for (; d >= 0; --d) {
-                const auto ud = static_cast<std::size_t>(d);
-                ++ridx[ud];
-                roff += red_stride[ud];
-                if (ridx[ud] < red_extent[ud]) break;
-                roff -= red_stride[ud] * red_extent[ud];
-                ridx[ud] = 0;
-              }
-              if (d < 0) break;
-            }
-          }
-          od[static_cast<std::size_t>(o)] = acc;
-        }
+          for (; i < n; ++i) sum_chains<1>(red, reduce_count, x + i * ks, ks, o + i);
+        });
       });
   return out;
 }
@@ -345,13 +423,13 @@ Tensor broadcast_to(const Tensor& a, const Shape& shape) {
                                 " does not broadcast to " + shape_to_string(shape));
   }
   Tensor out(shape);
-  const auto strides = broadcast_strides(a.shape(), shape);
+  const auto plan = make_plan<1>(shape, {broadcast_strides(a.shape(), shape)});
   auto da = a.data();
   auto od = out.data();
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(strided_gather writes only od[lo,hi); da is read-only)
       0, out.numel(), grain_for(2), [&](std::int64_t lo, std::int64_t hi) {
-        strided_gather(da, od, shape, strides, lo, hi);
+        strided_gather(da, od, plan, lo, hi);
       });
   return out;
 }

@@ -1,5 +1,9 @@
 // Pure numeric kernels on Tensors. Every autograd primitive wraps one of
-// these. Kernels allocate their result; inputs are never mutated.
+// these. Kernels allocate their result; inputs are never mutated. The
+// strided kernels (broadcasting binary ops, permute, reduce_sum_to,
+// broadcast_to) walk a coalesced plan of at most 16 dims — size-1 dims
+// dropped, contiguous neighbours merged — and throw std::invalid_argument
+// beyond that (DESIGN.md §8 "Broadcast plans").
 #pragma once
 
 #include <vector>

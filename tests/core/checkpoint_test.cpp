@@ -8,6 +8,7 @@
 #include "core/quickdrop.h"
 #include "data/synthetic.h"
 #include "nn/convnet.h"
+#include "../util/temp_dir.h"
 
 namespace quickdrop::core {
 namespace {
@@ -153,7 +154,7 @@ TEST(CheckpointTest, BitFlipAnywhereDetected) {
 
 TEST(CheckpointTest, LoadCorruptFileThrows) {
   Fixture f;
-  const std::string path = testing::TempDir() + "/qd_checkpoint_corrupt.bin";
+  const std::string path = test_util::test_temp_path("qd_checkpoint_corrupt.bin");
   save_checkpoint(make_checkpoint(f.global, f.stores), path);
   auto bytes = [&] {
     std::ifstream in(path, std::ios::binary);
@@ -205,7 +206,7 @@ TEST(CheckpointTest, CursorWithBadRngStateRejected) {
 
 TEST(CheckpointTest, FileRoundTrip) {
   Fixture f;
-  const std::string path = testing::TempDir() + "/qd_checkpoint_test.bin";
+  const std::string path = test_util::test_temp_path("qd_checkpoint_test.bin");
   const auto cp = make_checkpoint(f.global, f.stores);
   save_checkpoint(cp, path);
   const auto loaded = load_checkpoint(path);

@@ -13,12 +13,13 @@
 #include "data/synthetic.h"
 #include "nn/convnet.h"
 #include "store/store.h"
+#include "../util/temp_dir.h"
 
 namespace quickdrop::core {
 namespace {
 
 std::string temp_path(const char* name) {
-  const std::string path = ::testing::TempDir() + "qd_cpstore_" + name;
+  const std::string path = test_util::test_temp_path(std::string("qd_cpstore_") + name);
   std::remove(path.c_str());
   return path;
 }

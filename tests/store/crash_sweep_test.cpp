@@ -32,6 +32,7 @@
 
 #include "store/store.h"
 #include "util/rng.h"
+#include "../util/temp_dir.h"
 
 namespace quickdrop::store {
 namespace {
@@ -89,7 +90,7 @@ WorkloadResult run_workload(const std::string& path, const IoFactory& factory,
 }
 
 std::string trial_path() {
-  const std::string path = ::testing::TempDir() + "qd_crash_sweep.qds";
+  const std::string path = test_util::test_temp_path("qd_crash_sweep.qds");
   std::remove(path.c_str());
   std::remove((path + ".vacuum").c_str());
   return path;

@@ -20,6 +20,7 @@
 #include "serve/executor.h"
 #include "store/store.h"
 #include "util/thread_pool.h"
+#include "../util/temp_dir.h"
 
 namespace quickdrop::serve {
 namespace {
@@ -93,7 +94,7 @@ ServiceRequest class_request(int target) {
 }
 
 std::string temp_store(const char* name) {
-  const std::string path = ::testing::TempDir() + "qd_durable_" + name;
+  const std::string path = test_util::test_temp_path(std::string("qd_durable_") + name);
   std::remove(path.c_str());
   std::remove((path + ".vacuum").c_str());
   return path;

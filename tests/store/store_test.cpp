@@ -13,12 +13,13 @@
 
 #include "store/store.h"
 #include "util/rng.h"
+#include "../util/temp_dir.h"
 
 namespace quickdrop::store {
 namespace {
 
 std::string temp_path(const char* name) {
-  const std::string path = ::testing::TempDir() + "qd_store_" + name;
+  const std::string path = test_util::test_temp_path(std::string("qd_store_") + name);
   std::remove(path.c_str());
   std::remove((path + ".vacuum").c_str());
   return path;
