@@ -3,6 +3,8 @@
 // for any input.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 
@@ -50,6 +52,16 @@ struct ConvCase {
   Shape input;
   int k, pad, stride;
 };
+
+// Prints a case by its geometry, e.g. "in1x1x4x4_k3_pad1_stride1". Without it
+// gtest prints the raw bytes of the struct, heap pointers included, and the
+// ctest names (which gtest_discover_tests takes from the printed value)
+// change with every build.
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << "in";
+  for (std::size_t i = 0; i < c.input.size(); ++i) *os << (i == 0 ? "" : "x") << c.input[i];
+  *os << "_k" << c.k << "_pad" << c.pad << "_stride" << c.stride;
+}
 
 class ConvGradSweep : public ::testing::TestWithParam<ConvCase> {};
 
