@@ -223,14 +223,17 @@ BENCHMARK(BM_ConvForwardBackwardThreads)->ArgNames({"threads"})->Apply(thread_ar
 // --- table, so this isolates the AVX2 tile speedup.
 
 struct DispatchScope {
-  explicit DispatchScope(qd::simd::Dispatch d) { qd::simd::force_dispatch(d); }
+  /// simd arg 0 = scalar oracle, 1 = AVX2.
+  explicit DispatchScope(std::int64_t simd_arg) {
+    qd::simd::force_dispatch(simd_arg == 0 ? qd::simd::Dispatch::kScalar
+                                           : qd::simd::Dispatch::kAvx2);
+  }
   ~DispatchScope() { qd::simd::force_dispatch(qd::simd::Dispatch::kAuto); }
 };
 
 void BM_MatMulDispatch(benchmark::State& state) {
   const PoolScope pool(1);
-  const DispatchScope dispatch(state.range(1) == 0 ? qd::simd::Dispatch::kScalar
-                                                   : qd::simd::Dispatch::kAvx2);
+  const DispatchScope dispatch(state.range(1));
   const auto n = state.range(0);
   qd::Rng rng(1);
   const auto a = qd::Tensor::randn({n, n}, rng);
@@ -244,6 +247,60 @@ BENCHMARK(BM_MatMulDispatch)
     ->Args({64, 1})
     ->Args({256, 0})
     ->Args({256, 1});
+
+// --- Tensor runs (DESIGN.md §13) at the `train` shapes, 1 thread; the
+// --- simd arg picks the scalar oracle (0) or the AVX2 table (1).
+
+void BM_ReluDispatch(benchmark::State& state) {
+  const PoolScope pool(1);
+  const DispatchScope dispatch(state.range(0));
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::relu(x));
+}
+BENCHMARK(BM_ReluDispatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
+
+void BM_SameShapeMulDispatch(benchmark::State& state) {
+  const PoolScope pool(1);
+  const DispatchScope dispatch(state.range(0));
+  qd::Rng rng(1);
+  const auto a = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  const auto b = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::mul(a, b));
+}
+BENCHMARK(BM_SameShapeMulDispatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
+
+void BM_Transpose2dDispatch(benchmark::State& state) {
+  const PoolScope pool(1);
+  const DispatchScope dispatch(state.range(2));
+  qd::Rng rng(1);
+  const auto a = qd::Tensor::randn({state.range(0), state.range(1)}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::transpose2d(a));
+}
+BENCHMARK(BM_Transpose2dDispatch)
+    ->ArgNames({"rows", "cols", "simd"})
+    ->Args({144, 324, 0})
+    ->Args({144, 324, 1})
+    ->Args({27, 1296, 0})
+    ->Args({27, 1296, 1});
+
+void BM_Im2ColDispatch(benchmark::State& state) {
+  const PoolScope pool(1);
+  const DispatchScope dispatch(state.range(0));
+  qd::Rng rng(1);
+  const auto x = qd::Tensor::randn({9, 16, 12, 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::im2col(x, 3, 1, 1));
+}
+BENCHMARK(BM_Im2ColDispatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
+
+void BM_Col2ImDispatch(benchmark::State& state) {
+  const PoolScope pool(1);
+  const DispatchScope dispatch(state.range(0));
+  qd::Rng rng(1);
+  const auto cols = qd::Tensor::randn({16 * 9, 9 * 12 * 12}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(k::col2im(cols, {9, 16, 12, 12}, 3, 1, 1));
+}
+BENCHMARK(BM_Col2ImDispatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
 void BM_SgaUnlearnStep(benchmark::State& state) {
   // One SGA ascent step on a QuickDrop-sized synthetic forget batch.

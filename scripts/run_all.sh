@@ -25,6 +25,18 @@ STRESS_FAILED=0
 STRESS_FAILED=${PIPESTATUS[0]}
 echo "stress exit: $STRESS_FAILED" | tee -a stress_output.txt
 
+# Scalar-oracle pass: the tensor, autograd and core suites again with the
+# SIMD dispatch forced to the scalar table, so on an AVX2 host the oracle
+# path also runs end to end (goldens, invariance suites, gradchecks). Any
+# failure fails the script (see the exit at the end).
+{
+  QUICKDROP_SIMD=scalar "$BUILD"/tests/tensor_test &&
+  QUICKDROP_SIMD=scalar "$BUILD"/tests/autograd_test &&
+  QUICKDROP_SIMD=scalar "$BUILD"/tests/core_test
+} 2>&1 | tee scalar_output.txt
+SCALAR_FAILED=${PIPESTATUS[0]}
+echo "scalar-oracle exit: $SCALAR_FAILED" | tee -a scalar_output.txt
+
 # Static-analysis pass: qdlint (and clang-tidy when installed) runs before
 # the sanitizer rebuilds — it is the cheapest gate, so it fails fastest.
 scripts/lint.sh "$BUILD" 2>&1 | tee lint_output.txt
@@ -170,5 +182,6 @@ else
   echo "scale-shard bench: MISSING BENCH_scale_shard.json" | tee -a bench_output.txt
 fi
 
-# The stress step above is a gate, not a report: a failed pass fails the run.
-exit "$STRESS_FAILED"
+# The stress and scalar-oracle steps above are gates, not reports: a failure
+# in either fails the run.
+[ "$STRESS_FAILED" -eq 0 ] && [ "$SCALAR_FAILED" -eq 0 ]

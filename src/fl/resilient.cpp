@@ -1,6 +1,7 @@
 #include "fl/resilient.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -77,6 +78,9 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
   // Per-worker scratch models for the concurrent client phase, built lazily
   // (serially, on this thread) and reused across rounds.
   std::vector<std::unique_ptr<nn::Module>> worker_models;
+  // Each client's CostMeter::total() the last time it ran (0 before): the
+  // parallel waves start their heaviest clients first.
+  std::vector<std::int64_t> last_cost(client_data.size(), 0);
 
   // One layout shared by the global and every client upload: snapshots reuse
   // it instead of re-deriving a manifest per client per round, and the
@@ -259,14 +263,23 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
         };
 
         if (parallel) {
+          // Workers claim clients one at a time, heaviest previous cost
+          // first (ties and first rounds in cohort order), so the costliest
+          // client does not start last. Which worker runs a client changes
+          // no bit: its work depends only on (round, attempt, c) and the
+          // global state, and results are collected in cohort order below.
+          std::vector<std::size_t> order(wave_len);
+          for (std::size_t i = 0; i < wave_len; ++i) order[i] = wave_begin + i;
+          std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+            return last_cost[static_cast<std::size_t>(cohort[x])] >
+                   last_cost[static_cast<std::size_t>(cohort[y])];
+          });
+          std::atomic<std::size_t> next{0};
           // qdlint: shared-write(workers write disjoint slots/slot_costs entries; each owns its model)
           ThreadPool::global().run_chunks(n_workers, [&](int w) {
-            const std::size_t b = wave_begin + wave_len * static_cast<std::size_t>(w) /
-                                                   static_cast<std::size_t>(n_workers);
-            const std::size_t e = wave_begin + wave_len * static_cast<std::size_t>(w + 1) /
-                                                   static_cast<std::size_t>(n_workers);
-            for (std::size_t idx = b; idx < e; ++idx) {
-              run_client(idx, *worker_models[static_cast<std::size_t>(w)]);
+            for (std::size_t t = next.fetch_add(1, std::memory_order_relaxed); t < wave_len;
+                 t = next.fetch_add(1, std::memory_order_relaxed)) {
+              run_client(order[t], *worker_models[static_cast<std::size_t>(w)]);
             }
           });
         } else {
@@ -275,6 +288,7 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
 
         // Collect the wave in cohort order.
         for (std::size_t idx = wave_begin; idx < wave_end; ++idx) {
+          last_cost[static_cast<std::size_t>(cohort[idx])] = slot_costs[idx - wave_begin].total();
           cost += slot_costs[idx - wave_begin];
           if (!slots[idx - wave_begin]) continue;
           Delivery d = std::move(*slots[idx - wave_begin]);

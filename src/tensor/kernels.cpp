@@ -110,24 +110,41 @@ void for_each_run(const Plan<N>& p, std::int64_t lo, std::int64_t hi, Run run) {
   }
 }
 
+/// Runs shorter than one AVX2 vector stay in an inline loop: the avgpool
+/// broadcasts walk runs of 1-2 elements, where the table's indirect call
+/// would cost more than it saves. The inline loop is the table entry's
+/// expression, so both routes give the same bits.
+constexpr std::int64_t kMinTableRun = 8;
+
 /// Gathers out[flat] = da[offset(flat)] for flat in [begin, end) along a
 /// one-operand plan. Pure per-element map: safe and bit-stable under any
 /// output partition.
 void strided_gather(std::span<const float> da, std::span<float> od, const Plan<1>& plan,
                     std::int64_t begin, std::int64_t end) {
   const std::int64_t s = plan.stride[0][static_cast<std::size_t>(plan.rank - 1)];
+  const auto& simd_k = simd::active();
   for_each_run(plan, begin, end, [&](std::int64_t flat, const std::array<std::int64_t, 1>& off,
                                      std::int64_t n) {
     float* o = od.data() + flat;
     const float* x = da.data() + off[0];
-    if (s == 1) {
-      std::copy(x, x + n, o);
-    } else if (s == 0) {
-      std::fill(o, o + n, *x);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) o[i] = x[i * s];
+    if (n >= kMinTableRun) {
+      simd_k.gather_run(o, x, n, s);
+      return;
     }
+    for (std::int64_t i = 0; i < n; ++i) o[i] = x[i * s];
   });
+}
+
+/// o[i] = f(x[i * x_step], y[i * y_step]), where `f` is `op`'s expression.
+template <typename F>
+void binary_run(const simd::Kernels& simd_k, simd::BinaryOp op, F f, float* o, const float* x,
+                const float* y, std::int64_t n, std::int64_t x_step, std::int64_t y_step) {
+  if (n >= kMinTableRun) {
+    simd_k.binary_run(op, o, x, y, n, x_step, y_step);
+    return;
+  }
+  // qdlint: shared-write(callers pass a disjoint o[0,n) run)
+  for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i * x_step], y[i * y_step]);
 }
 
 /// Sums kChains outputs of reduce_sum_to at once: chain c adds up the
@@ -152,18 +169,16 @@ void sum_chains(const Plan<1>& red, std::int64_t count, const float* x, std::int
 }
 
 template <typename F>
-Tensor binary_op(const Tensor& a, const Tensor& b, F f, const char* name) {
+Tensor binary_op(const Tensor& a, const Tensor& b, simd::BinaryOp op, F f, const char* name) {
+  const auto& simd_k = simd::active();
   if (a.shape() == b.shape()) {  // fast path
-    Tensor out(a.shape());
+    Tensor out = Tensor::uninitialized(a.shape());
     auto oa = a.data(), ob = b.data();
     auto od = out.data();
     ThreadPool::global().parallel_for(
         // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
         0, out.numel(), grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            const auto u = static_cast<std::size_t>(i);
-            od[u] = f(oa[u], ob[u]);
-          }
+          binary_run(simd_k, op, f, od.data() + lo, oa.data() + lo, ob.data() + lo, hi - lo, 1, 1);
         });
     return out;
   }
@@ -174,13 +189,14 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F f, const char* name) {
     throw std::invalid_argument(std::string(name) + ": cannot broadcast " +
                                 shape_to_string(a.shape()) + " with " + shape_to_string(b.shape()));
   }
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const auto plan = make_plan<2>(
       out_shape, {broadcast_strides(a.shape(), out_shape), broadcast_strides(b.shape(), out_shape)});
   // Both operands are contiguous up to broadcasting, so each inner stride is
   // 1 (the operand spans the inner run) or 0 (it is broadcast along it).
   const auto in = static_cast<std::size_t>(plan.rank - 1);
-  const bool a_runs = plan.stride[0][in] != 0, b_runs = plan.stride[1][in] != 0;
+  const std::int64_t a_step = plan.stride[0][in] != 0 ? 1 : 0;
+  const std::int64_t b_step = plan.stride[1][in] != 0 ? 1 : 0;
   auto da = a.data(), db = b.data();
   auto od = out.data();
   ThreadPool::global().parallel_for(
@@ -189,26 +205,31 @@ Tensor binary_op(const Tensor& a, const Tensor& b, F f, const char* name) {
         // qdlint: shared-write(each run writes only od[flat,flat+n) inside this chunk's slice)
         for_each_run(plan, lo, hi, [&](std::int64_t flat, const std::array<std::int64_t, 2>& off,
                                        std::int64_t n) {
-          float* o = od.data() + flat;
-          const float* x = da.data() + off[0];
-          const float* y = db.data() + off[1];
-          if (a_runs && b_runs) {
-            for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
-          } else if (a_runs) {
-            const float yv = *y;
-            for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
-          } else {
-            const float xv = *x;
-            for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
-          }
+          binary_run(simd_k, op, f, od.data() + flat, da.data() + off[0], db.data() + off[1], n,
+                     a_step, b_step);
         });
       });
   return out;
 }
 
+/// A unary op from the dispatched table (s: the scalar of add/mul_scalar).
+Tensor unary_op(const Tensor& a, simd::UnaryOp op, float s = 0.0f) {
+  const auto& simd_k = simd::active();
+  Tensor out = Tensor::uninitialized(a.shape());
+  auto da = a.data();
+  auto od = out.data();
+  ThreadPool::global().parallel_for(
+      // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
+      0, out.numel(), grain_for(1), [&](std::int64_t lo, std::int64_t hi) {
+        simd_k.unary_run(op, od.data() + lo, da.data() + lo, s, hi - lo);
+      });
+  return out;
+}
+
+/// A unary op on libm (exp, log), which has no table entry.
 template <typename F>
-Tensor unary_op(const Tensor& a, F f) {
-  Tensor out(a.shape());
+Tensor libm_unary_op(const Tensor& a, F f) {
+  Tensor out = Tensor::uninitialized(a.shape());
   auto da = a.data();
   auto od = out.data();
   ThreadPool::global().parallel_for(
@@ -225,43 +246,31 @@ Tensor unary_op(const Tensor& a, F f) {
 }  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, [](float x, float y) { return x + y; }, "add");
+  return binary_op(a, b, simd::BinaryOp::kAdd, [](float x, float y) { return x + y; }, "add");
 }
 Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, [](float x, float y) { return x - y; }, "sub");
+  return binary_op(a, b, simd::BinaryOp::kSub, [](float x, float y) { return x - y; }, "sub");
 }
 Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, [](float x, float y) { return x * y; }, "mul");
+  return binary_op(a, b, simd::BinaryOp::kMul, [](float x, float y) { return x * y; }, "mul");
 }
 Tensor div(const Tensor& a, const Tensor& b) {
-  return binary_op(a, b, [](float x, float y) { return x / y; }, "div");
+  return binary_op(a, b, simd::BinaryOp::kDiv, [](float x, float y) { return x / y; }, "div");
 }
 
-Tensor neg(const Tensor& a) {
-  return unary_op(a, [](float x) { return -x; });
-}
+Tensor neg(const Tensor& a) { return unary_op(a, simd::UnaryOp::kNeg); }
 Tensor exp(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::exp(x); });
+  return libm_unary_op(a, [](float x) { return std::exp(x); });
 }
 Tensor log(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::log(x); });
+  return libm_unary_op(a, [](float x) { return std::log(x); });
 }
-Tensor sqrt(const Tensor& a) {
-  return unary_op(a, [](float x) { return std::sqrt(x); });
-}
-Tensor relu(const Tensor& a) {
-  return unary_op(a, [](float x) { return x > 0.0f ? x : 0.0f; });
-}
-Tensor gt_zero_mask(const Tensor& a) {
-  return unary_op(a, [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
-}
+Tensor sqrt(const Tensor& a) { return unary_op(a, simd::UnaryOp::kSqrt); }
+Tensor relu(const Tensor& a) { return unary_op(a, simd::UnaryOp::kRelu); }
+Tensor gt_zero_mask(const Tensor& a) { return unary_op(a, simd::UnaryOp::kGtZeroMask); }
 
-Tensor add_scalar(const Tensor& a, float s) {
-  return unary_op(a, [s](float x) { return x + s; });
-}
-Tensor mul_scalar(const Tensor& a, float s) {
-  return unary_op(a, [s](float x) { return x * s; });
-}
+Tensor add_scalar(const Tensor& a, float s) { return unary_op(a, simd::UnaryOp::kAddScalar, s); }
+Tensor mul_scalar(const Tensor& a, float s) { return unary_op(a, simd::UnaryOp::kMulScalar, s); }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
@@ -311,16 +320,15 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 Tensor transpose2d(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("transpose2d: rank must be 2");
   const std::int64_t m = a.dim(0), n = a.dim(1);
-  Tensor out({n, m});
+  Tensor out = Tensor::uninitialized({n, m});
   auto da = a.data();
   auto od = out.data();
-  // Partitioned over output rows; pure gather.
+  const auto& simd_k = simd::active();
+  // Partitioned over output rows; each chunk is one block transpose of input
+  // columns [j0,j1), a pure copy.
   // qdlint: shared-write(each chunk owns output rows [j0,j1))
   ThreadPool::global().parallel_for(0, n, grain_for(m), [&](std::int64_t j0, std::int64_t j1) {
-    for (std::int64_t j = j0; j < j1; ++j) {
-      float* orow = od.data() + j * m;
-      for (std::int64_t i = 0; i < m; ++i) orow[i] = da[static_cast<std::size_t>(i * n + j)];
-    }
+    simd_k.transpose(od.data() + j0 * m, m, da.data() + j0, n, m, j1 - j0);
   });
   return out;
 }
@@ -340,7 +348,7 @@ Tensor permute(const Tensor& a, const std::vector<int>& dims) {
     seen[static_cast<std::size_t>(d)] = true;
     out_shape[static_cast<std::size_t>(i)] = a.shape()[static_cast<std::size_t>(d)];
   }
-  Tensor out(out_shape);
+  Tensor out = Tensor::uninitialized(out_shape);
   const auto in_strides = contiguous_strides(a.shape());
   std::vector<std::int64_t> strides(static_cast<std::size_t>(rank));
   for (int i = 0; i < rank; ++i) {
@@ -363,7 +371,6 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
     throw std::invalid_argument("reduce_sum_to: " + shape_to_string(target_shape) +
                                 " does not broadcast to " + shape_to_string(a.shape()));
   }
-  Tensor out(target_shape);
   const auto& in_shape = a.shape();
   const auto in_strides = contiguous_strides(in_shape);
   const std::size_t in_rank = in_shape.size();
@@ -384,6 +391,8 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
   }
   const auto kept = make_plan<1>(kept_extent, {std::move(kept_stride)});
   const std::int64_t reduce_count = numel(red_extent);
+  if (reduce_count == 0) return Tensor(target_shape);  // every output is an empty sum: 0.0f
+  Tensor out = Tensor::uninitialized(target_shape);
   auto da = a.data();
   auto od = out.data();
   if (reduce_count == 1) {
@@ -395,7 +404,6 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
         });
     return out;
   }
-  if (reduce_count == 0) return out;  // every output is an empty sum: 0.0f
   const auto red = make_plan<1>(red_extent, {std::move(red_stride)});
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk writes its own disjoint od[lo,hi) slice)
@@ -422,7 +430,7 @@ Tensor broadcast_to(const Tensor& a, const Shape& shape) {
     throw std::invalid_argument("broadcast_to: " + shape_to_string(a.shape()) +
                                 " does not broadcast to " + shape_to_string(shape));
   }
-  Tensor out(shape);
+  Tensor out = Tensor::uninitialized(shape);
   const auto plan = make_plan<1>(shape, {broadcast_strides(a.shape(), shape)});
   auto da = a.data();
   auto od = out.data();
@@ -450,12 +458,12 @@ Tensor im2col(const Tensor& x, int k, int pad, int stride) {
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
   const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
-  Tensor cols({c * k * k, n * oh * ow});
+  Tensor cols = Tensor::uninitialized({c * k * k, n * oh * ow});
   auto dx = x.data();
   auto dc = cols.data();
   const std::int64_t col_width = n * oh * ow;
   // Partitioned over output rows (one per (ci, ki, kj)); each row is a
-  // disjoint slice of `cols`, written by pure gathers.
+  // disjoint slice of `cols`, written in full by pure gathers.
   ThreadPool::global().parallel_for(
       // qdlint: shared-write(each chunk owns cols rows [r0,r1); dx is read-only)
       0, c * k * k, grain_for(col_width), [&](std::int64_t r0, std::int64_t r1) {
@@ -463,15 +471,27 @@ Tensor im2col(const Tensor& x, int k, int pad, int stride) {
           const std::int64_t ci = row / (k * k);
           const int ki = static_cast<int>((row / k) % k);
           const int kj = static_cast<int>(row % k);
-          float* out_row = dc.data() + row * col_width;
+          // At stride 1 the in-bounds outputs xo of an image row are one
+          // contiguous span [x_lo, x_hi) reading img[iy*w + xo + kj - pad].
+          const std::int64_t x_lo = std::clamp<std::int64_t>(pad - kj, 0, ow);
+          const std::int64_t x_hi = std::clamp<std::int64_t>(w + pad - kj, x_lo, ow);
           for (std::int64_t ni = 0; ni < n; ++ni) {
             const float* img = dx.data() + (ni * c + ci) * h * w;
             for (std::int64_t y = 0; y < oh; ++y) {
               const std::int64_t iy = y * stride + ki - pad;
-              for (std::int64_t xo = 0; xo < ow; ++xo) {
-                const std::int64_t ix = xo * stride + kj - pad;
-                const bool in_bounds = iy >= 0 && iy < h && ix >= 0 && ix < w;
-                out_row[(ni * oh + y) * ow + xo] = in_bounds ? img[iy * w + ix] : 0.0f;
+              float* out = dc.data() + row * col_width + (ni * oh + y) * ow;
+              if (iy < 0 || iy >= h) {
+                std::fill(out, out + ow, 0.0f);
+              } else if (stride == 1) {
+                const float* src = img + (iy * w + x_lo + kj - pad);
+                std::fill(out, out + x_lo, 0.0f);
+                std::copy(src, src + (x_hi - x_lo), out + x_lo);
+                std::fill(out + x_hi, out + ow, 0.0f);
+              } else {
+                for (std::int64_t xo = 0; xo < ow; ++xo) {
+                  const std::int64_t ix = xo * stride + kj - pad;
+                  out[xo] = ix >= 0 && ix < w ? img[iy * w + ix] : 0.0f;
+                }
               }
             }
           }
@@ -492,6 +512,7 @@ Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int 
   auto dc = cols.data();
   auto od = out.data();
   const std::int64_t col_width = n * oh * ow;
+  const auto& simd_k = simd::active();
   // Partitioned over output image planes (ni, ci): every output pixel
   // belongs to exactly one plane, so the overlapping += accumulation is
   // race-free, and each pixel receives its contributions in the fixed
@@ -508,13 +529,25 @@ Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int 
             for (int kj = 0; kj < k; ++kj) {
               const std::int64_t row = (ci * k + ki) * k + kj;
               const float* in_row = dc.data() + row * col_width;
+              // At stride 1, as in im2col, the in-bounds xo of a row form
+              // one span, folded in as an in-place add run.
+              const std::int64_t x_lo = std::clamp<std::int64_t>(pad - kj, 0, ow);
+              const std::int64_t x_hi = std::clamp<std::int64_t>(w + pad - kj, x_lo, ow);
               for (std::int64_t y = 0; y < oh; ++y) {
                 const std::int64_t iy = y * stride + ki - pad;
                 if (iy < 0 || iy >= h) continue;
+                const float* src = in_row + (ni * oh + y) * ow;
+                if (stride == 1) {
+                  float* dst = img + (iy * w + x_lo + kj - pad);
+                  binary_run(simd_k, simd::BinaryOp::kAdd,
+                             [](float acc, float v) { return acc + v; }, dst, dst, src + x_lo,
+                             x_hi - x_lo, 1, 1);
+                  continue;
+                }
                 for (std::int64_t xo = 0; xo < ow; ++xo) {
                   const std::int64_t ix = xo * stride + kj - pad;
                   if (ix < 0 || ix >= w) continue;
-                  img[iy * w + ix] += in_row[(ni * oh + y) * ow + xo];
+                  img[iy * w + ix] += src[xo];
                 }
               }
             }
@@ -528,7 +561,7 @@ Tensor row_max(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("row_max: rank must be 2");
   const std::int64_t n = a.dim(0), c = a.dim(1);
   if (c == 0) throw std::invalid_argument("row_max: empty rows");
-  Tensor out({n, 1});
+  Tensor out = Tensor::uninitialized({n, 1});
   auto da = a.data();
   auto od = out.data();
   // qdlint: shared-write(each chunk owns output rows [i0,i1))

@@ -1,6 +1,8 @@
 #include "tensor/simd.h"
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -128,11 +130,91 @@ void matmul_tile4_scalar(float* c, float a0, float a1, float a2, float a3, const
   }
 }
 
+// Tensor runs: one loop per (op, step pattern); `f` is the whole per-element
+// expression.
+template <typename F>
+void binary_run_with(F f, float* o, const float* x, const float* y, std::int64_t n,
+                     std::int64_t x_step, std::int64_t y_step) {
+  if (x_step != 0 && y_step != 0) {
+    for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
+  } else if (x_step != 0) {
+    const float yv = *y;
+    for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i], yv);
+  } else {
+    const float xv = *x;
+    for (std::int64_t i = 0; i < n; ++i) o[i] = f(xv, y[i]);
+  }
+}
+
+void binary_run_scalar(BinaryOp op, float* o, const float* x, const float* y, std::int64_t n,
+                       std::int64_t x_step, std::int64_t y_step) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      return binary_run_with([](float a, float b) { return a + b; }, o, x, y, n, x_step, y_step);
+    case BinaryOp::kSub:
+      return binary_run_with([](float a, float b) { return a - b; }, o, x, y, n, x_step, y_step);
+    case BinaryOp::kMul:
+      return binary_run_with([](float a, float b) { return a * b; }, o, x, y, n, x_step, y_step);
+    case BinaryOp::kDiv:
+      return binary_run_with([](float a, float b) { return a / b; }, o, x, y, n, x_step, y_step);
+  }
+}
+
+template <typename F>
+void unary_run_with(F f, float* o, const float* x, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = f(x[i]);
+}
+
+/// `v > 0 ? bits : +0` as an all-ones/zero mask ANDed with `bits`: the
+/// ternary's value without its data-dependent branch (an ordered compare, so
+/// NaN and -0 give +0).
+float and_if_positive(float v, float bits) {
+  const std::uint32_t mask = 0U - static_cast<std::uint32_t>(v > 0.0f);
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(bits) & mask);
+}
+
+void unary_run_scalar(UnaryOp op, float* o, const float* x, float s, std::int64_t n) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      return unary_run_with([](float v) { return -v; }, o, x, n);
+    case UnaryOp::kRelu:
+      return unary_run_with([](float v) { return and_if_positive(v, v); }, o, x, n);
+    case UnaryOp::kGtZeroMask:
+      return unary_run_with([](float v) { return and_if_positive(v, 1.0f); }, o, x, n);
+    case UnaryOp::kAddScalar:
+      return unary_run_with([s](float v) { return v + s; }, o, x, n);
+    case UnaryOp::kMulScalar:
+      return unary_run_with([s](float v) { return v * s; }, o, x, n);
+    case UnaryOp::kSqrt:
+      return unary_run_with([](float v) { return std::sqrt(v); }, o, x, n);
+  }
+}
+
+void gather_run_scalar(float* o, const float* x, std::int64_t n, std::int64_t step) {
+  for (std::int64_t i = 0; i < n; ++i) o[i] = x[i * step];
+}
+
+void transpose_scalar(float* o, std::int64_t ldo, const float* x, std::int64_t ldx,
+                      std::int64_t rows, std::int64_t cols) {
+  // kTile x kTile blocks, so a block's input and output lines stay in L1.
+  constexpr std::int64_t kTile = 16;
+  for (std::int64_t jb = 0; jb < cols; jb += kTile) {
+    const std::int64_t je = jb + kTile < cols ? jb + kTile : cols;
+    for (std::int64_t ib = 0; ib < rows; ib += kTile) {
+      const std::int64_t ie = ib + kTile < rows ? ib + kTile : rows;
+      for (std::int64_t j = jb; j < je; ++j) {
+        for (std::int64_t i = ib; i < ie; ++i) o[j * ldo + i] = x[i * ldx + j];
+      }
+    }
+  }
+}
+
 constexpr Kernels kScalarKernels = {
     "scalar",          axpy_scalar,      scale_scalar,      subtract_scalar,
     sum_squares_scalar, sum_squared_diff_scalar, wavg_fold_scalar, wavg_store_scalar,
     dadd_scalar,       dscale_store_scalar,
-    matmul_tile4_scalar,
+    matmul_tile4_scalar, binary_run_scalar, unary_run_scalar,
+    gather_run_scalar, transpose_scalar,
 };
 
 // ---- Dispatch ------------------------------------------------------------

@@ -11,7 +11,10 @@
 // bit-identical results for every kernel. Elementwise kernels (axpy, scale,
 // subtract, the weighted-average fold, matmul_tile4) keep each element's
 // operation chain unchanged — vectorization only batches independent chains —
-// so parity is structural. The reductions (sum_squares, sum_squared_diff) are
+// so parity is structural. The tensor runs (binary_run, unary_run) are one
+// IEEE-rounded add/sub/mul/div/sqrt, a sign flip or a compare-and-mask per
+// element, so they too match lane for lane; gather_run and transpose only
+// move bits. The reductions (sum_squares, sum_squared_diff) are
 // lane-structured: four independent double accumulators over elements
 // i ≡ 0..3 (mod 4), combined as ((l0 + l2) + (l1 + l3)) + tail, which is
 // exactly the fold an AVX2 4x64-bit register reduction performs. The scalar
@@ -21,6 +24,15 @@
 #include <cstdint>
 
 namespace quickdrop::simd {
+
+/// The arithmetic of binary_run: o = x op y, one IEEE float operation per
+/// element.
+enum class BinaryOp : int { kAdd, kSub, kMul, kDiv };
+
+/// The arithmetic of unary_run. kRelu is x > 0 ? x : +0 and kGtZeroMask is
+/// x > 0 ? 1 : +0 (an ordered compare, so NaN and -0 give +0); kAddScalar and
+/// kMulScalar are x + s and x * s.
+enum class UnaryOp : int { kNeg, kRelu, kGtZeroMask, kAddScalar, kMulScalar, kSqrt };
 
 /// Which microkernel table to run. kAuto derives the choice from CPUID and
 /// the QUICKDROP_SIMD environment variable ("off"/"scalar" forces the scalar
@@ -61,6 +73,20 @@ struct Kernels {
   /// mul-then-add (no FMA) — the blocked matmul's 4-way kk inner tile.
   void (*matmul_tile4)(float* c, float a0, float a1, float a2, float a3, const float* b0,
                        const float* b1, const float* b2, const float* b3, std::int64_t n);
+  /// o[i] = x[i * x_step] op y[i * y_step] with steps (1,1), (1,0) or (0,1):
+  /// a same-shape run, or a broadcast run whose other operand is one value.
+  /// o may alias x or y exactly (an in-place add run).
+  void (*binary_run)(BinaryOp op, float* o, const float* x, const float* y, std::int64_t n,
+                     std::int64_t x_step, std::int64_t y_step);
+  /// o[i] = op(x[i]), with s the scalar operand of kAddScalar/kMulScalar.
+  void (*unary_run)(UnaryOp op, float* o, const float* x, float s, std::int64_t n);
+  /// o[i] = x[i * step]: a fill (step 0), copy (1) or strided gather run of
+  /// a broadcast or permute (pure copy).
+  void (*gather_run)(float* o, const float* x, std::int64_t n, std::int64_t step);
+  /// o[j * ldo + i] = x[i * ldx + j] for i < rows, j < cols: a block of a 2-D
+  /// transpose (pure copy).
+  void (*transpose)(float* o, std::int64_t ldo, const float* x, std::int64_t ldx,
+                    std::int64_t rows, std::int64_t cols);
 };
 
 /// The hand-tiled scalar oracle. Always available.

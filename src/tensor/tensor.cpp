@@ -5,49 +5,46 @@
 
 namespace quickdrop {
 
-Tensor::Tensor() : shape_{}, data_(std::make_shared<std::vector<float>>(1, 0.0f)) {}
+Tensor::Tensor() : shape_{}, data_(std::make_shared<Storage>(1, 0.0f)) {}
 
 Tensor::Tensor(Shape shape)
     : shape_(std::move(shape)),
-      data_(std::make_shared<std::vector<float>>(static_cast<std::size_t>(quickdrop::numel(shape_)), 0.0f)) {}
+      data_(std::make_shared<Storage>(static_cast<std::size_t>(quickdrop::numel(shape_)), 0.0f)) {}
 
 Tensor::Tensor(Shape shape, std::vector<float> values) : shape_(std::move(shape)) {
   if (static_cast<std::int64_t>(values.size()) != quickdrop::numel(shape_)) {
     throw std::invalid_argument("Tensor: values size does not match shape " + shape_to_string(shape_));
   }
-  data_ = std::make_shared<std::vector<float>>(std::move(values));
+  data_ = std::make_shared<Storage>(values.begin(), values.end());
 }
 
 Tensor Tensor::zeros(Shape shape) { return Tensor(std::move(shape)); }
 
+Tensor Tensor::uninitialized(Shape shape) {
+  const auto n = static_cast<std::size_t>(quickdrop::numel(shape));
+  return {std::move(shape), std::make_shared<Storage>(n)};
+}
+
 Tensor Tensor::full(Shape shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t = uninitialized(std::move(shape));
   t.fill(value);
   return t;
 }
 
 Tensor Tensor::randn(Shape shape, Rng& rng, float stddev) {
-  Tensor t(std::move(shape));
+  Tensor t = uninitialized(std::move(shape));
   for (auto& v : *t.data_) v = rng.normal(0.0f, stddev);
   return t;
 }
 
-Tensor Tensor::clone() const {
-  Tensor t;
-  t.shape_ = shape_;
-  t.data_ = std::make_shared<std::vector<float>>(*data_);
-  return t;
-}
+Tensor Tensor::clone() const { return {shape_, std::make_shared<Storage>(*data_)}; }
 
 Tensor Tensor::reshaped(Shape new_shape) const {
   if (quickdrop::numel(new_shape) != numel()) {
     throw std::invalid_argument("Tensor::reshaped: numel mismatch " + shape_to_string(shape_) +
                                 " -> " + shape_to_string(new_shape));
   }
-  Tensor t;
-  t.shape_ = std::move(new_shape);
-  t.data_ = data_;
-  return t;
+  return {std::move(new_shape), data_};
 }
 
 void Tensor::fill(float value) {

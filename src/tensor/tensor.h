@@ -7,12 +7,37 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.h"
 #include "util/rng.h"
 
 namespace quickdrop {
+
+namespace detail {
+/// std::allocator whose value-less construct() default-initializes: a
+/// vector<float> sized with it leaves its floats unwritten instead of
+/// zero-filling them (Tensor::uninitialized).
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>& /*other*/) noexcept {}  // NOLINT(google-explicit-constructor)
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+}  // namespace detail
 
 class Tensor {
  public:
@@ -27,12 +52,15 @@ class Tensor {
 
   /// Factories.
   static Tensor zeros(Shape shape);
+  /// Tensor whose elements are left unwritten (indeterminate). Only for
+  /// kernels that then write every element (DESIGN.md §8).
+  static Tensor uninitialized(Shape shape);
   static Tensor full(Shape shape, float value);
   static Tensor ones(Shape shape) { return full(std::move(shape), 1.0f); }
   /// I.i.d. normal entries with the given stddev.
   static Tensor randn(Shape shape, Rng& rng, float stddev = 1.0f);
   /// 1-element scalar tensor.
-  static Tensor scalar(float value) { return Tensor({}, {value}); }
+  static Tensor scalar(float value) { return full({}, value); }
 
   [[nodiscard]] const Shape& shape() const { return shape_; }
   [[nodiscard]] std::int64_t numel() const { return static_cast<std::int64_t>(data_->size()); }
@@ -71,8 +99,13 @@ class Tensor {
   [[nodiscard]] float max_abs() const;
 
  private:
+  using Storage = std::vector<float, detail::DefaultInitAllocator<float>>;
+
+  Tensor(Shape shape, std::shared_ptr<Storage> data)
+      : shape_(std::move(shape)), data_(std::move(data)) {}
+
   Shape shape_;
-  std::shared_ptr<std::vector<float>> data_;
+  std::shared_ptr<Storage> data_;
 };
 
 }  // namespace quickdrop

@@ -1,10 +1,13 @@
 // End-to-end thread-count invariance: QuickDrop's distillation training, an
 // unlearn/recover cycle, checkpoint/resume, and fault-plan runs must all
 // produce bit-identical ModelStates (and synthetic stores) whether the global
-// pool has 1, 2 or 8 threads.
+// pool has 1, 2 or 8 threads, and training must not depend on the SIMD
+// dispatch table either.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "nn/convnet.h"
+#include "tensor/simd.h"
 #include "util/thread_pool.h"
 
 namespace quickdrop::core {
@@ -89,7 +93,8 @@ void expect_stores_bitwise_equal(const std::vector<SyntheticStore>& a,
       const Tensor& sb = b[i].class_samples(c);
       ASSERT_EQ(sa.numel(), sb.numel());
       for (std::int64_t j = 0; j < sa.numel(); ++j) {
-        ASSERT_EQ(sa.at(j), sb.at(j)) << "store " << i << " class " << c << " entry " << j;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(sa.at(j)), std::bit_cast<std::uint32_t>(sb.at(j)))
+            << "store " << i << " class " << c << " entry " << j;
       }
     }
   }
@@ -131,6 +136,42 @@ TEST(ParallelDeterminismTest, TrainAndUnlearnCycleBitIdenticalAcrossThreadCounts
     expect_stores_bitwise_equal(serial.stores, parallel.stores);
     EXPECT_EQ(serial.train_sample_grads, parallel.train_sample_grads) << t;
     EXPECT_EQ(serial.train_distill_grads, parallel.train_distill_grads) << t;
+  }
+}
+
+TEST(ParallelDeterminismTest, TrainBitIdenticalAcrossDispatchTablesAndThreads) {
+  // The tensor runs, transposes and matmul tiles go through the dispatched
+  // SIMD table; the scalar oracle and the AVX2 table must train the same
+  // bytes, distilled synthetic data included.
+  if (!(simd::avx2_compiled() && simd::avx2_supported())) GTEST_SKIP() << "AVX2 not available";
+  ThreadGuard guard;
+  QuickDropConfig cfg = MiniFederation::config();
+  cfg.fl_rounds = 2;
+  struct Run {
+    nn::ModelState trained;
+    std::vector<SyntheticStore> stores;
+  };
+  const auto run = [&](simd::Dispatch dispatch, int threads) {
+    simd::force_dispatch(dispatch);
+    set_num_threads(threads);
+    MiniFederation fed;
+    QuickDrop qd(fed.factory, fed.clients, cfg, 99);
+    Run out{qd.train(), qd.stores()};
+    EXPECT_GT(qd.training_stats().cost.distill_sample_grads, 0);  // distillation ran
+    simd::force_dispatch(simd::Dispatch::kAuto);
+    return out;
+  };
+  const Run oracle = run(simd::Dispatch::kScalar, 1);
+  for (const auto dispatch : {simd::Dispatch::kScalar, simd::Dispatch::kAvx2}) {
+    for (const int threads : {1, 2}) {
+      const Run got = run(dispatch, threads);
+      const auto want_bytes = oracle.trained.data();
+      const auto got_bytes = got.trained.data();
+      ASSERT_EQ(want_bytes.size(), got_bytes.size());
+      EXPECT_EQ(std::memcmp(want_bytes.data(), got_bytes.data(), want_bytes.size_bytes()), 0)
+          << "dispatch " << static_cast<int>(dispatch) << ", " << threads << " threads";
+      expect_stores_bitwise_equal(oracle.stores, got.stores);
+    }
   }
 }
 

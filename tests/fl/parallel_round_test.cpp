@@ -199,6 +199,32 @@ TEST(ParallelRoundTest, MoreThreadsThanClientsIsSafe) {
   EXPECT_EQ(cost1.sample_grads, cost2.sample_grads);
 }
 
+TEST(ParallelRoundTest, SkewedClientCostsBitIdenticalAcrossThreadCounts) {
+  // Workers claim the clients with the largest previous-round cost first.
+  // Here the last client holds most of the data, so from round 1 on it is
+  // claimed first; the round results must not notice, in streaming and in
+  // buffered (norm-outlier) mode alike.
+  Fixture f;
+  data::Partition skewed(6);
+  for (int i = 0; i < f.tt.train.size(); ++i) {
+    skewed[static_cast<std::size_t>(i < 30 ? i / 6 : 5)].push_back(i);
+  }
+  f.clients = data::materialize(f.tt.train, skewed);
+  ThreadGuard guard;
+  for (const float outlier : {0.0f, 8.0f}) {
+    FedAvgConfig cfg{.rounds = 4, .participation = 1.0f};
+    cfg.defense.norm_outlier_multiplier = outlier;
+    cfg.client_model_factory = f.factory();
+    const auto [serial, cost1] = run_at(f, cfg, 1);
+    for (const int t : {2, 4}) {
+      const auto [parallel, cost_t] = run_at(f, cfg, t);
+      expect_states_bitwise_equal(serial, parallel);
+      EXPECT_EQ(cost1.sample_grads, cost_t.sample_grads) << t;
+      EXPECT_EQ(cost1.bytes_up, cost_t.bytes_up) << t;
+    }
+  }
+}
+
 TEST(ParallelRoundTest, SingleClientCohortRunsSerially) {
   Fixture f;
   // participation low enough that each round samples exactly one client.

@@ -1,11 +1,15 @@
-// Bitwise oracle for the coalesced broadcast plans in tensor/kernels.cpp.
-// The per-element odometer versions of binary_op, reduce_sum_to,
-// broadcast_to and permute that the plans replaced are kept below, serial, as
-// the oracle. Every planned kernel must reproduce their bytes exactly (memcmp,
-// so NaN payloads and the sign of zero count) over a seeded sweep of ranks
-// 0-6, size-1 dims everywhere, left/right/two-sided broadcasts,
-// non-coalescible permutes and the training workload's real shapes — at 1 and
-// 4 threads and under the scalar and AVX2 dispatch tables.
+// Bitwise oracle for the coalesced broadcast plans and the vectorized tensor
+// runs in tensor/kernels.cpp. The per-element odometer versions of binary_op,
+// reduce_sum_to, broadcast_to and permute that the plans replaced, and the
+// plain scalar loops of the unary ops, transpose2d, im2col and col2im that the
+// dispatched runs replaced, are kept below, serial, as the oracle. Every
+// kernel must reproduce their bytes exactly (memcmp, so NaN payloads and the
+// sign of zero count) over a seeded sweep of ranks 0-6, size-1 dims
+// everywhere, left/right/two-sided broadcasts, non-coalescible permutes, conv
+// geometries and the training workload's real shapes — at 1 and 4 threads and
+// under the scalar and AVX2 dispatch tables. Each kernel runs right after a
+// NaN-filled buffer of its output's size is freed, so an output element it
+// leaves unwritten shows up as a mismatch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +19,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/kernels.h"
@@ -168,6 +173,81 @@ Tensor reduce_sum_to(const Tensor& a, const Shape& target_shape) {
   return out;
 }
 
+Tensor unary(const Tensor& a, const std::function<float(float)>& f) {
+  Tensor out(a.shape());
+  for (std::int64_t i = 0; i < a.numel(); ++i) out.at(i) = f(a.at(i));
+  return out;
+}
+
+Tensor transpose2d(const Tensor& a) {
+  const std::int64_t m = a.dim(0), n = a.dim(1);
+  Tensor out({n, m});
+  for (std::int64_t j = 0; j < n; ++j) {
+    for (std::int64_t i = 0; i < m; ++i) out.at(j * m + i) = a.at(i * n + j);
+  }
+  return out;
+}
+
+Tensor im2col(const Tensor& x, int k, int pad, int stride) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  Tensor cols({c * k * k, n * oh * ow});
+  auto dx = x.data();
+  auto dc = cols.data();
+  const std::int64_t col_width = n * oh * ow;
+  for (std::int64_t row = 0; row < c * k * k; ++row) {
+    const std::int64_t ci = row / (k * k);
+    const int ki = static_cast<int>((row / k) % k);
+    const int kj = static_cast<int>(row % k);
+    float* out_row = dc.data() + row * col_width;
+    for (std::int64_t ni = 0; ni < n; ++ni) {
+      const float* img = dx.data() + (ni * c + ci) * h * w;
+      for (std::int64_t y = 0; y < oh; ++y) {
+        const std::int64_t iy = y * stride + ki - pad;
+        for (std::int64_t xo = 0; xo < ow; ++xo) {
+          const std::int64_t ix = xo * stride + kj - pad;
+          const bool in_bounds = iy >= 0 && iy < h && ix >= 0 && ix < w;
+          out_row[(ni * oh + y) * ow + xo] = in_bounds ? img[iy * w + ix] : 0.0f;
+        }
+      }
+    }
+  }
+  return cols;
+}
+
+Tensor col2im(const Tensor& cols, const Shape& image_shape, int k, int pad, int stride) {
+  const std::int64_t n = image_shape[0], c = image_shape[1], h = image_shape[2],
+                     w = image_shape[3];
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (w + 2 * pad - k) / stride + 1;
+  Tensor out(image_shape);
+  auto dc = cols.data();
+  auto od = out.data();
+  const std::int64_t col_width = n * oh * ow;
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const std::int64_t ni = p / c;
+    const std::int64_t ci = p % c;
+    float* img = od.data() + p * h * w;
+    for (int ki = 0; ki < k; ++ki) {
+      for (int kj = 0; kj < k; ++kj) {
+        const std::int64_t row = (ci * k + ki) * k + kj;
+        const float* in_row = dc.data() + row * col_width;
+        for (std::int64_t y = 0; y < oh; ++y) {
+          const std::int64_t iy = y * stride + ki - pad;
+          if (iy < 0 || iy >= h) continue;
+          for (std::int64_t xo = 0; xo < ow; ++xo) {
+            const std::int64_t ix = xo * stride + kj - pad;
+            if (ix < 0 || ix >= w) continue;
+            img[iy * w + ix] += in_row[(ni * oh + y) * ow + xo];
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
 }  // namespace oracle
 
 void expect_same_bytes(const Tensor& got, const Tensor& want, const std::string& what) {
@@ -231,7 +311,12 @@ void run_cases(const std::vector<Case>& cases) {
     for (const int threads : {1, 4}) {
       set_num_threads(threads);
       for (const auto& c : cases) {
-        expect_same_bytes(c.got(), c.want(),
+        const Tensor want = c.want();
+        // Free a NaN-filled buffer of the output's size just before the
+        // kernel allocates its output, so the allocator likely hands the
+        // kernel these bytes and an unwritten element reads as NaN.
+        { const Tensor poison = Tensor::full(want.shape(), std::numeric_limits<float>::quiet_NaN()); }
+        expect_same_bytes(c.got(), want,
                           c.name + " @" + std::to_string(threads) + " threads, " +
                               simd::active().name);
         if (::testing::Test::HasFatalFailure()) break;
@@ -277,6 +362,49 @@ void add_permute_case(std::vector<Case>& cases, const Tensor& a, const std::vect
   for (const int d : dims) perm += std::to_string(d);
   cases.push_back({"permute " + shape_to_string(a.shape()) + " by " + perm,
                    [=] { return permute(a, dims); }, [=] { return oracle::permute(a, dims); }});
+}
+
+void add_unary_cases(std::vector<Case>& cases, const Tensor& a) {
+  const std::string shape = " " + shape_to_string(a.shape());
+  const auto add_case = [&](const char* name, std::function<Tensor()> got,
+                            std::function<float(float)> ref) {
+    cases.push_back({name + shape, std::move(got), [=] { return oracle::unary(a, ref); }});
+  };
+  add_case("neg", [=] { return neg(a); }, [](float x) { return -x; });
+  add_case("relu", [=] { return relu(a); }, [](float x) { return x > 0.0f ? x : 0.0f; });
+  add_case("gt_zero_mask", [=] { return gt_zero_mask(a); },
+           [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
+  add_case("add_scalar", [=] { return add_scalar(a, 0.375f); },
+           [](float x) { return x + 0.375f; });
+  add_case("mul_scalar", [=] { return mul_scalar(a, -1.5f); }, [](float x) { return x * -1.5f; });
+  add_case("sqrt", [=] { return sqrt(a); }, [](float x) { return std::sqrt(x); });
+  add_case("exp", [=] { return exp(a); }, [](float x) { return std::exp(x); });
+  add_case("log", [=] { return log(a); }, [](float x) { return std::log(x); });
+}
+
+void add_transpose_case(std::vector<Case>& cases, const Tensor& a) {
+  cases.push_back({"transpose2d " + shape_to_string(a.shape()), [=] { return transpose2d(a); },
+                   [=] { return oracle::transpose2d(a); }});
+}
+
+void add_conv_cases(std::vector<Case>& cases, const Tensor& x, int k, int pad, int stride) {
+  const std::string geometry = shape_to_string(x.shape()) + " k" + std::to_string(k) + " p" +
+                               std::to_string(pad) + " s" + std::to_string(stride);
+  cases.push_back({"im2col " + geometry, [=] { return im2col(x, k, pad, stride); },
+                   [=] { return oracle::im2col(x, k, pad, stride); }});
+  // Fold a random columns matrix back, so overlapping contributions differ.
+  // col2im sums inf and -inf into x86's default NaN (sign bit set) and may
+  // then add an input NaN to it. Which NaN a NaN + NaN returns depends on
+  // the operand order the compiler picks, for the old loop as for the new
+  // runs, so the columns' NaNs are that same default NaN: every NaN in this
+  // case has one bit pattern, and the comparison stays exact.
+  Rng rng(static_cast<std::uint64_t>(x.numel() * 131 + k * 17 + pad * 5 + stride));
+  Tensor cols = sample(oracle::im2col(x, k, pad, stride).shape(), rng, true);
+  for (std::int64_t i = 0; i < cols.numel(); ++i) {
+    if (std::isnan(cols.at(i))) cols.at(i) = -std::numeric_limits<float>::quiet_NaN();
+  }
+  cases.push_back({"col2im " + geometry, [=] { return col2im(cols, x.shape(), k, pad, stride); },
+                   [=] { return oracle::col2im(cols, x.shape(), k, pad, stride); }});
 }
 
 TEST(BroadcastPlanTest, BinaryOpsMatchOdometerOnRandomBroadcasts) {
@@ -383,6 +511,57 @@ TEST(BroadcastPlanTest, SpecialValuesMatchOdometer) {
   const auto neg_zeros = Tensor::full({4, 6}, -0.0f);
   for (const Shape& target : std::vector<Shape>{{1, 6}, {4, 1}, {}}) {
     add_reduce_case(cases, neg_zeros, target);
+  }
+  run_cases(cases);
+}
+
+TEST(TensorRunTest, UnaryOpsMatchScalarLoops) {
+  Rng rng(108);
+  std::vector<Case> cases;
+  for (int i = 0; i < 30; ++i) {
+    add_unary_cases(cases, sample(random_shape(rng.uniform_int(0, 5), rng), rng, true));
+  }
+  add_unary_cases(cases, sample({9, 16, 12, 12}, rng, true));
+  const float specials[] = {-0.0f, 0.0f, std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(), -1e-40f, 2.0f, -3.0f};
+  Tensor every({67});
+  for (std::int64_t i = 0; i < every.numel(); ++i) every.at(i) = specials[i % 9];
+  add_unary_cases(cases, every);
+  run_cases(cases);
+}
+
+TEST(TensorRunTest, Transpose2dMatchesColumnGather) {
+  Rng rng(109);
+  std::vector<Case> cases;
+  for (const auto& [m, n] : std::vector<std::pair<std::int64_t, std::int64_t>>{
+           {1, 1}, {1, 9}, {9, 1}, {7, 7}, {8, 8}, {15, 17}, {16, 16}, {33, 65}, {144, 324},
+           {27, 1296}, {0, 5}, {5, 0}}) {
+    add_transpose_case(cases, sample({m, n}, rng, true));
+  }
+  run_cases(cases);
+}
+
+TEST(TensorRunTest, Im2ColAndCol2ImMatchScalarLoops) {
+  Rng rng(110);
+  std::vector<Case> cases;
+  add_conv_cases(cases, sample({9, 16, 12, 12}, rng, false), 3, 1, 1);
+  add_conv_cases(cases, sample({9, 3, 12, 12}, rng, true), 3, 1, 1);
+  struct Geometry {
+    Shape shape;
+    int k, pad, stride;
+  };
+  for (const auto& g : std::vector<Geometry>{{{1, 1, 4, 4}, 3, 1, 1},
+                                             {{2, 2, 4, 5}, 2, 0, 1},
+                                             {{1, 1, 6, 6}, 3, 0, 2},
+                                             {{1, 3, 3, 3}, 3, 2, 1},
+                                             {{2, 1, 5, 5}, 1, 0, 1},
+                                             {{1, 2, 2, 3}, 1, 2, 1},
+                                             {{2, 2, 7, 9}, 5, 2, 1},
+                                             {{1, 2, 7, 9}, 3, 1, 2},
+                                             {{1, 1, 20, 20}, 3, 1, 1}}) {
+    add_conv_cases(cases, sample(g.shape, rng, true), g.k, g.pad, g.stride);
   }
   run_cases(cases);
 }
