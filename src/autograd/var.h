@@ -9,6 +9,8 @@
 // a distance between parameter gradients with respect to synthetic pixels.
 #pragma once
 
+#include <bitset>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <span>
@@ -21,10 +23,19 @@ namespace quickdrop::ag {
 
 class Var;
 
+namespace detail {
+/// Most parents an op node may have: the VJP needs mask holds one bit each.
+inline constexpr std::size_t kMaxParents = 4;
+}  // namespace detail
+
 /// Maps the gradient w.r.t. a node's output to gradients w.r.t. its parents
 /// (same order as the parents vector; a default-constructed Var means "no
-/// gradient for this parent").
-using VjpFn = std::function<std::vector<Var>(const Var& grad_output)>;
+/// gradient for this parent"). Bit i of `needs` is set when grad() wants
+/// parent i's gradient; a VJP builds only those and may return a default Var
+/// for the rest. grad() never calls a VJP with an empty mask, so a VJP with a
+/// single parent can ignore the mask.
+using VjpFn = std::function<std::vector<Var>(const Var& grad_output,
+                                             std::bitset<detail::kMaxParents> needs)>;
 
 namespace detail {
 struct Node {
@@ -63,7 +74,8 @@ class Var {
   /// A constant view of this value: gradients do not flow past it.
   [[nodiscard]] Var detach() const;
 
-  /// Internal: constructs an op node. Used by ops.cpp.
+  /// Internal: constructs an op node. Used by ops.cpp. Throws
+  /// std::logic_error for a null parent or more than detail::kMaxParents.
   static Var make_op(const char* op, Tensor value, std::vector<Var> parents, VjpFn vjp);
 
   [[nodiscard]] const std::shared_ptr<detail::Node>& node() const { return node_; }
@@ -83,7 +95,9 @@ struct GradOptions {
 
 /// Reverse-mode gradient of a scalar `output` w.r.t. each of `inputs`.
 /// Inputs that do not influence the output receive zero gradients of their
-/// own shape. Throws std::invalid_argument if output is not a single element.
+/// own shape. Only nodes on a path from an input to `output` run their VJP,
+/// and each builds only the parent gradients on such a path. Throws
+/// std::invalid_argument if output is not a single element.
 std::vector<Var> grad(const Var& output, std::span<const Var> inputs,
                       const GradOptions& options = {});
 

@@ -106,6 +106,7 @@ void DistillingLocalUpdate::run(nn::Module& model, const data::Dataset& dataset,
                                 int client_id, Rng& rng, fl::CostMeter& cost) {
   (void)round;
   if (dataset.empty()) return;
+  const Timer run_timer;
   auto& store = stores_.at(static_cast<std::size_t>(client_id));
   const auto params = model.parameters();
 
@@ -176,8 +177,10 @@ void DistillingLocalUpdate::run(nn::Module& model, const data::Dataset& dataset,
     nn::Sgd optimizer(params, model_lr_);
     optimizer.step_tensors(model_grad, nn::UpdateDirection::kDescent);
   }
+  const double run_seconds = run_timer.seconds();
   const std::lock_guard<std::mutex> lock(seconds_mu_);
   distill_seconds_ += local_seconds;
+  local_update_seconds_ += run_seconds;
 }
 
 }  // namespace quickdrop::core

@@ -44,8 +44,14 @@ class DistillingLocalUpdate final : public fl::ClientUpdate {
            fl::CostMeter& cost) override;
 
   /// Cumulative wall-clock seconds spent in distillation work (the paper's
-  /// Table 6 "DD Compute Time").
+  /// Table 6 "DD Compute Time"), summed over clients. Clients may run
+  /// concurrently, so this is thread-seconds, not elapsed time.
   [[nodiscard]] double distill_seconds() const { return distill_seconds_; }
+
+  /// Cumulative wall-clock seconds of whole run() calls, summed over clients
+  /// like distill_seconds(). Each distillation interval lies inside one run()
+  /// interval, so distill_seconds() <= local_update_seconds().
+  [[nodiscard]] double local_update_seconds() const { return local_update_seconds_; }
 
  private:
   std::vector<SyntheticStore>& stores_;
@@ -54,9 +60,10 @@ class DistillingLocalUpdate final : public fl::ClientUpdate {
   float model_lr_;
   DistillConfig distill_;
   /// run() may execute concurrently for distinct clients; the per-client
-  /// stores are disjoint, but this cross-client total needs a guard.
+  /// stores are disjoint, but these cross-client totals need a guard.
   std::mutex seconds_mu_;
   double distill_seconds_ = 0.0;
+  double local_update_seconds_ = 0.0;
 };
 
 /// Performs `opt_steps` pixel updates of `synthetic` (an [m,C,H,W] tensor,

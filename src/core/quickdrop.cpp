@@ -56,6 +56,7 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
       fl::run_fedavg(*scratch_model_, std::move(start), client_train_, update, fed, fed_rng,
                      training_stats_.cost, callback, client_callback, cursor_callback);
   distill_seconds_ = update.distill_seconds();
+  local_update_seconds_ = update.local_update_seconds();
 
   // Optional fine-tuning of every client's synthetic store (§3.3.2).
   if (config_.finetune.outer_steps > 0) {
@@ -66,7 +67,9 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
       finetune_store(factory_, stores_[i], client_train_[i], config_.finetune, client_rng,
                      training_stats_.cost);
     }
-    distill_seconds_ += ft_timer.seconds();
+    const double ft_seconds = ft_timer.seconds();
+    distill_seconds_ += ft_seconds;
+    local_update_seconds_ += ft_seconds;
   }
 
   training_stats_.seconds = timer.seconds();

@@ -169,8 +169,13 @@ class QuickDrop {
   [[nodiscard]] const std::vector<SyntheticStore>& stores() const { return stores_; }
   [[nodiscard]] std::vector<SyntheticStore>& stores() { return stores_; }
   [[nodiscard]] const PhaseStats& training_stats() const { return training_stats_; }
-  /// Wall-clock seconds of training spent on distillation (Table 6).
+  /// Seconds of training spent on distillation (Table 6), summed over
+  /// clients, which may run concurrently: thread-seconds, including any
+  /// fine-tuning of the stores.
   [[nodiscard]] double distill_seconds() const { return distill_seconds_; }
+  /// Seconds of training spent in clients' local updates, in the same unit
+  /// as distill_seconds() (which it contains): Table 6's denominator.
+  [[nodiscard]] double local_update_seconds() const { return local_update_seconds_; }
   [[nodiscard]] const std::set<int>& forgotten_classes() const { return forgotten_classes_; }
   [[nodiscard]] const std::set<int>& forgotten_clients() const { return forgotten_clients_; }
 
@@ -268,6 +273,7 @@ class QuickDrop {
   nn::ModelState initial_state_;
   PhaseStats training_stats_;
   double distill_seconds_ = 0.0;
+  double local_update_seconds_ = 0.0;
   std::set<int> forgotten_classes_;
   std::set<int> forgotten_clients_;
 };

@@ -1,15 +1,15 @@
-// Regression tests for the audit of the pointer-keyed gradient map in
-// src/autograd/var.cpp (ISSUE 3, satellite 1).
+// Regression tests for the pointer-keyed tape-index map in
+// src/autograd/var.cpp.
 //
-// grad() stores per-node gradients in std::unordered_map<detail::Node*, Var>,
-// whose *iteration* order would vary run to run with pointer hashes. The
-// implementation must therefore only ever use the map for lookups
-// (find/count/emplace) and drive accumulation by the deterministic
-// topological order of the graph — the qdlint det-unordered-iter rule
-// enforces the "no iteration" half statically; these tests pin the observable
-// half: gradients are bitwise identical across repeated backward passes even
-// though every fresh graph allocation shuffles the pointer keys' hash
-// placement.
+// grad() numbers the nodes of the backward tape in an
+// std::unordered_map<detail::Node*, std::size_t>, whose *iteration* order
+// would vary run to run with pointer hashes. The implementation must
+// therefore only ever use the map for lookups (find/try_emplace) and keep
+// gradients in a dense vector accumulated in the deterministic topological
+// order of the tape — the qdlint det-unordered-iter rule enforces the "no
+// iteration" half statically; these tests pin the observable half: gradients
+// are bitwise identical across repeated backward passes even though every
+// fresh graph allocation shuffles the pointer keys' hash placement.
 
 #include <gtest/gtest.h>
 

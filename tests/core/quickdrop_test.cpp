@@ -9,6 +9,7 @@
 #include "data/synthetic.h"
 #include "metrics/evaluate.h"
 #include "nn/convnet.h"
+#include "util/thread_pool.h"
 
 namespace quickdrop::core {
 namespace {
@@ -79,6 +80,25 @@ TEST(QuickDropTest, TrainReachesUsefulAccuracy) {
   EXPECT_GT(qd.training_stats().cost.sample_grads, 0);
   EXPECT_GT(qd.training_stats().cost.distill_sample_grads, 0);
   EXPECT_GT(qd.distill_seconds(), 0.0);
+}
+
+// Table 6 divides distill_seconds() by local_update_seconds(). Both sum
+// per-client intervals, and every distillation interval lies inside its
+// client's local-update interval, so the share is at most 1 however many
+// clients run at once.
+TEST(QuickDropTest, DistillSecondsNestInLocalUpdateSeconds) {
+  const int saved_threads = num_threads();
+  for (const int threads : {1, 4}) {
+    set_num_threads(threads);
+    MiniFederation fed;
+    auto cfg = fed.config();
+    cfg.fl_rounds = 3;
+    QuickDrop qd(fed.factory, fed.clients, cfg, 99);
+    qd.train();
+    EXPECT_GT(qd.distill_seconds(), 0.0) << threads << " threads";
+    EXPECT_LE(qd.distill_seconds(), qd.local_update_seconds()) << threads << " threads";
+  }
+  set_num_threads(saved_threads);
 }
 
 TEST(QuickDropTest, ClassUnlearningErasesAndRecovers) {
