@@ -7,9 +7,9 @@
 //      with --max-clients) folded through one round per cohort size, at
 //      1 / 8 / 64 shards. Reported per round: wall-clock, folds/s, and the
 //      server's peak aggregation memory (tree accumulator + scratch + the
-//      single in-flight update). The buffered-engine equivalent —
-//      cohort × state_bytes, what nn::weighted_average would have to hold —
-//      is computed arithmetically for contrast: at 1M clients it would be
+//      single in-flight update). The buffered-merge equivalent —
+//      cohort × state_bytes, what a merge over the materialized cohort would
+//      have to hold — is computed arithmetically for contrast: at 1M clients it would be
 //      terabytes, which is exactly why it is not allocated here.
 //   2. Invariance verdict: the same 1k-client cohort merged at shards
 //      {1, 8, 64} must produce bitwise-identical roots (the DESIGN.md §16
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("streaming peak memory is O(params): it does not grow with the cohort, while\n"
-              "the buffered column grows linearly (the old engine's weighted_average input).\n");
+              "the buffered column grows linearly (a merge over the materialized cohort).\n");
 
   std::ostringstream json;
   json << "{\n\"params\": " << params << ",\n\"state_bytes\": " << state_bytes

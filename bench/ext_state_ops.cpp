@@ -1,14 +1,14 @@
 // google-benchmark microbenchmarks of the parameter plane (DESIGN.md §11):
-// axpy / weighted_average / serialize throughput on the flat representation,
-// swept over pool sizes, against a faithful reimplementation of the
-// pre-refactor per-tensor representation (vector<Tensor>, serial per-tensor
-// loops, float accumulation) as the baseline. Results land in
+// axpy / weighted-average merge / serialize throughput on the flat
+// representation, swept over pool sizes; axpy and serialize also run against
+// a faithful reimplementation of the pre-refactor per-tensor representation
+// (vector<Tensor>, serial per-tensor loops) as the baseline. Results land in
 // BENCH_state_ops.json (see main below) for machine consumption; run_all.sh
 // checks the file exists after the bench sweep.
 // The *Scalar/*Simd pairs pin the microkernel dispatch (tensor/simd.h) to
 // one table on L2-resident buffers, isolating the SIMD speedup from memory
-// bandwidth (acceptance: >= 2x at 1 thread on axpy / weighted_average /
-// l2_distance). The Quantize* benchmarks measure the int8/bf16 update codec
+// bandwidth (acceptance: >= 2x at 1 thread on axpy / the weighted-average
+// fold / l2_distance). The Quantize* benchmarks measure the int8/bf16 update codec
 // (fl/quantize.h) and report the wire/fp32 byte ratio as a counter.
 #include <benchmark/benchmark.h>
 
@@ -56,8 +56,8 @@ nn::ModelState make_flat(float phase) {
 
 // ---------------------------------------------------------------------------
 // Pre-refactor representation, reimplemented as the baseline: one Tensor per
-// parameter, serial per-tensor loops, float accumulation (what
-// nn/state.cpp did before the flat refactor).
+// parameter, serial per-tensor loops (what nn/state.cpp did before the flat
+// refactor).
 // ---------------------------------------------------------------------------
 
 std::vector<qd::Tensor> make_tensors(float phase) {
@@ -74,27 +74,6 @@ void tensor_axpy(std::vector<qd::Tensor>& y, const std::vector<qd::Tensor>& x, f
     const auto xd = x[i].data();
     for (std::size_t j = 0; j < yd.size(); ++j) yd[j] += a * xd[j];
   }
-}
-
-std::vector<qd::Tensor> tensor_weighted_average(
-    const std::vector<std::vector<qd::Tensor>>& states, const std::vector<float>& weights) {
-  std::vector<qd::Tensor> out;
-  out.reserve(states.front().size());
-  for (const auto& t : states.front()) {
-    qd::Tensor acc(t.shape());
-    auto ad = acc.data();
-    for (auto& v : ad) v = 0.0f;
-    out.push_back(std::move(acc));
-  }
-  for (std::size_t c = 0; c < states.size(); ++c) {
-    const float w = weights[c];
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      auto od = out[i].data();
-      const auto sd = states[c][i].data();
-      for (std::size_t j = 0; j < od.size(); ++j) od[j] += w * sd[j];
-    }
-  }
-  return out;
 }
 
 std::vector<std::uint8_t> tensor_serialize(const std::vector<qd::Tensor>& tensors) {
@@ -144,31 +123,13 @@ void BM_AxpyPerTensor(benchmark::State& state) {
 BENCHMARK(BM_AxpyPerTensor);
 
 // ---------------------------------------------------------------------------
-// weighted_average (FedAvg's aggregation step; 16 clients)
+// Weighted-average merge (FedAvg's aggregation step; 16 clients)
 // ---------------------------------------------------------------------------
 
 constexpr int kClients = 16;
 
-void BM_WeightedAverageFlat(benchmark::State& state) {
-  PoolScope pool(state.range(0));
-  std::vector<nn::ModelState> states;
-  std::vector<float> weights;
-  for (int c = 0; c < kClients; ++c) {
-    states.push_back(make_flat(0.01f * static_cast<float>(c)));
-    weights.push_back(1.0f / static_cast<float>(kClients));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::weighted_average(states, weights));
-  }
-  state.SetItemsProcessed(state.iterations() * states.front().numel() * kClients);
-}
-BENCHMARK(BM_WeightedAverageFlat)->Arg(1)->Arg(4)->Arg(8);
-
-// Streaming counterpart (nn/state_accumulator.h): the same 16-client merge
-// folded one update at a time through a single-lane StateAccumulator — the
-// shard tree's inner loop. Produces bitwise-identical output to
-// weighted_average; the column shows what the O(params)-memory path costs
-// relative to the batch merge.
+// The 16-client merge folded one update at a time through a single-lane
+// StateAccumulator (nn/state_accumulator.h) — the shard tree's inner loop.
 void BM_WeightedAverageStreaming(benchmark::State& state) {
   PoolScope pool(state.range(0));
   std::vector<nn::ModelState> states;
@@ -186,22 +147,6 @@ void BM_WeightedAverageStreaming(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * states.front().numel() * kClients);
 }
 BENCHMARK(BM_WeightedAverageStreaming)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_WeightedAveragePerTensor(benchmark::State& state) {
-  std::vector<std::vector<qd::Tensor>> states;
-  std::vector<float> weights;
-  std::int64_t numel = 0;
-  for (int c = 0; c < kClients; ++c) {
-    states.push_back(make_tensors(0.01f * static_cast<float>(c)));
-    weights.push_back(1.0f / static_cast<float>(kClients));
-  }
-  for (const auto& t : states.front()) numel += t.numel();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor_weighted_average(states, weights));
-  }
-  state.SetItemsProcessed(state.iterations() * numel * kClients);
-}
-BENCHMARK(BM_WeightedAveragePerTensor);
 
 // ---------------------------------------------------------------------------
 // serialize (checkpoint writes, FedEraser history persists)
@@ -273,13 +218,12 @@ void BM_WeightedAverageDispatch(benchmark::State& state) {
   PoolScope pool(1);
   DispatchScope dispatch(dispatch_of(state.range(0)));
   std::vector<nn::ModelState> states;
-  std::vector<float> weights;
-  for (int c = 0; c < 8; ++c) {
-    states.push_back(make_small(0.01f * static_cast<float>(c)));
-    weights.push_back(0.125f);
-  }
+  for (int c = 0; c < 8; ++c) states.push_back(make_small(0.01f * static_cast<float>(c)));
+  nn::StateAccumulator acc(states.front().layout(), /*lanes=*/1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::weighted_average(states, weights));
+    for (const auto& s : states) acc.fold(s, 0.125);
+    benchmark::DoNotOptimize(acc.finalize());
+    acc.reset();
   }
   state.SetItemsProcessed(state.iterations() * states.front().numel() * 8);
 }

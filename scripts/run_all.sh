@@ -132,55 +132,27 @@ for b in "$BUILD"/bench/*; do
   echo | tee -a bench_output.txt
 done
 
-# The state-ops microbenchmark (bench/ext_state_ops) writes its JSON into the
-# working directory; the sweep above must have produced it (flat vs per-tensor
-# representation, weighted_average thread scaling — see DESIGN.md §11).
-if [ -f BENCH_state_ops.json ]; then
-  echo "state-ops bench: BENCH_state_ops.json written" | tee -a bench_output.txt
-else
-  echo "state-ops bench: MISSING BENCH_state_ops.json" | tee -a bench_output.txt
-fi
-
-# Likewise the substrate microbenchmark (bench/micro_ops): kernel/autograd
-# unit costs plus the scalar-vs-SIMD matmul dispatch columns (DESIGN.md §13).
-if [ -f BENCH_micro_ops.json ]; then
-  echo "micro-ops bench: BENCH_micro_ops.json written" | tee -a bench_output.txt
-else
-  echo "micro-ops bench: MISSING BENCH_micro_ops.json" | tee -a bench_output.txt
-fi
-
-# Likewise the store microbenchmark (bench/ext_store): commit/recover/vacuum
-# throughput and store-vs-blob checkpoint saves — see DESIGN.md §12.
-if [ -f BENCH_store.json ]; then
-  echo "store bench: BENCH_store.json written" | tee -a bench_output.txt
-else
-  echo "store bench: MISSING BENCH_store.json" | tee -a bench_output.txt
-fi
-
-# Likewise the qdlint microbenchmark (bench/ext_qdlint): cold-vs-warm cache
-# whole-tree lint at 1/4/8 threads over a synthetic repo — see DESIGN.md §14.
-if [ -f BENCH_qdlint.json ]; then
-  echo "qdlint bench: BENCH_qdlint.json written" | tee -a bench_output.txt
-else
-  echo "qdlint bench: MISSING BENCH_qdlint.json" | tee -a bench_output.txt
-fi
-
-# Likewise the network front-end bench (bench/ext_net): wire-codec frame
-# sizes plus the loopback-vs-inproc identity verdicts — see DESIGN.md §15.
-if [ -f BENCH_net.json ]; then
-  echo "net bench: BENCH_net.json written" | tee -a bench_output.txt
-else
-  echo "net bench: MISSING BENCH_net.json" | tee -a bench_output.txt
-fi
-
-# Likewise the shard-tree scale sweep (bench/ext_scale_shard): streaming
-# aggregation peak memory vs cohort size, plus the cross-shard bitwise
-# invariance verdict — see DESIGN.md §16.
-if [ -f BENCH_scale_shard.json ]; then
-  echo "scale-shard bench: BENCH_scale_shard.json written" | tee -a bench_output.txt
-else
-  echo "scale-shard bench: MISSING BENCH_scale_shard.json" | tee -a bench_output.txt
-fi
+# Benches that write a BENCH_<name>.json into the working directory; the
+# sweep above must have produced each one:
+#   state_ops   (bench/ext_state_ops) flat vs per-tensor state kernels and
+#               the weighted-average merge at 1/4/8 threads, DESIGN.md §11
+#   micro_ops   (bench/micro_ops) kernel/autograd unit costs plus the
+#               scalar-vs-SIMD dispatch columns, DESIGN.md §13
+#   store       (bench/ext_store) commit/recover/vacuum throughput and
+#               store-vs-blob checkpoint saves, DESIGN.md §12
+#   qdlint      (bench/ext_qdlint) cold-vs-warm cache whole-tree lint at
+#               1/4/8 threads, DESIGN.md §14
+#   net         (bench/ext_net) wire-codec frame sizes plus the
+#               loopback-vs-inproc identity verdicts, DESIGN.md §15
+#   scale_shard (bench/ext_scale_shard) streaming aggregation peak memory vs
+#               cohort size plus the cross-shard invariance verdict, DESIGN.md §16
+for name in state_ops micro_ops store qdlint net scale_shard; do
+  if [ -f "BENCH_$name.json" ]; then
+    echo "${name//_/-} bench: BENCH_$name.json written" | tee -a bench_output.txt
+  else
+    echo "${name//_/-} bench: MISSING BENCH_$name.json" | tee -a bench_output.txt
+  fi
+done
 
 # The stress and scalar-oracle steps above are gates, not reports: a failure
 # in either fails the run.

@@ -44,6 +44,9 @@ class Writer {
   void tensor(const Tensor& t) {
     u64(t.shape().size());
     for (const auto d : t.shape()) u64(static_cast<std::uint64_t>(d));
+    // An empty tensor's data pointer may be null, and memcpy from null is
+    // undefined even for zero bytes.
+    if (t.data().empty()) return;
     const auto offset = bytes_.size();
     bytes_.resize(offset + t.data().size() * sizeof(float));
     std::memcpy(bytes_.data() + offset, t.data().data(), t.data().size() * sizeof(float));
@@ -88,6 +91,7 @@ class Reader {
     Tensor t(shape);
     const auto nbytes = static_cast<std::size_t>(t.numel()) * sizeof(float);
     if (pos_ + nbytes > bytes_.size()) throw std::invalid_argument("checkpoint: truncated");
+    if (nbytes == 0) return t;  // null data pointer: see Writer::tensor
     std::memcpy(t.data().data(), bytes_.data() + pos_, nbytes);
     pos_ += nbytes;
     return t;

@@ -11,7 +11,7 @@
 #pragma once
 
 #include "core/synthetic_store.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 
 namespace quickdrop::core {
 

@@ -8,7 +8,7 @@
 #pragma once
 
 #include "core/distillation.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 
 namespace quickdrop::core {
 

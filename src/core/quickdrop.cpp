@@ -31,7 +31,7 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
   const Timer timer;
   DistillingLocalUpdate update(stores_, config_.local_steps, config_.batch_size,
                                config_.train_lr, config_.distill);
-  fl::FedAvgConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
+  fl::ResilientConfig fed{.rounds = config_.fl_rounds, .participation = config_.participation};
   fed.faults = config_.faults;
   fed.defense = config_.defense;
   fed.transport = config_.transport;
@@ -53,8 +53,8 @@ nn::ModelState QuickDrop::train(const fl::RoundCallback& callback,
     fed_rng = Rng::deserialize(resume->rng_state);
   }
   nn::ModelState global =
-      fl::run_fedavg(*scratch_model_, std::move(start), client_train_, update, fed, fed_rng,
-                     training_stats_.cost, callback, client_callback, cursor_callback);
+      fl::run_resilient(*scratch_model_, std::move(start), client_train_, update, fed, fed_rng,
+                        training_stats_.cost, callback, client_callback, cursor_callback);
   distill_seconds_ = update.distill_seconds();
   local_update_seconds_ = update.local_update_seconds();
 
@@ -167,7 +167,7 @@ nn::ModelState QuickDrop::run_phase(const nn::ModelState& start,
   const Timer timer;
   fl::SgdLocalUpdate update(config_.unlearn_local_steps, config_.unlearn_batch_size, lr,
                             direction);
-  fl::FedAvgConfig fed{.rounds = rounds, .participation = participation};
+  fl::ResilientConfig fed{.rounds = rounds, .participation = participation};
   fed.faults = config_.faults;
   fed.defense = config_.defense;
   fed.transport = config_.transport;
@@ -176,8 +176,8 @@ nn::ModelState QuickDrop::run_phase(const nn::ModelState& start,
   fed.client_model_factory = factory_;
   fl::CostMeter cost;
   Rng phase_rng = resume_rng ? Rng::deserialize(*resume_rng) : rng_.split(0xE0);
-  nn::ModelState result = fl::run_fedavg(*scratch_model_, start, client_data, update, fed,
-                                         phase_rng, cost, callback, {}, cursor_callback);
+  nn::ModelState result = fl::run_resilient(*scratch_model_, start, client_data, update, fed,
+                                            phase_rng, cost, callback, {}, cursor_callback);
   if (stats) {
     stats->seconds = timer.seconds();
     stats->cost = cost;

@@ -12,7 +12,7 @@
 #include "core/finetune.h"
 #include "core/request.h"
 #include "core/synthetic_store.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 
 namespace quickdrop::core {
 

@@ -2,8 +2,8 @@
 //
 // Clients ship the *delta* between their local state and the round's global
 // state, quantized per fixed-size block, instead of the raw fp32 state. The
-// server decodes the delta, reconstructs `global + delta`, and aggregation
-// proceeds through the existing double accumulator in nn::weighted_average —
+// server decodes the delta block by block, reconstructs `global + delta`, and
+// folds it into the shard tree's double accumulator (fl/shard_tree.h) —
 // quantization error enters exactly once, at the client→server boundary.
 //
 // Wire framing (little-endian, rides the v2 state format's conventions):
@@ -43,7 +43,7 @@ namespace quickdrop::fl {
 enum class Codec : std::uint8_t { kNone = 0, kInt8 = 1, kBf16 = 2 };
 
 /// Client→server transport configuration, threaded from QuickDropConfig
-/// through FedAvgConfig/ResilientConfig into the round engine.
+/// through ResilientConfig into the round engine.
 struct TransportConfig {
   Codec codec = Codec::kNone;
 };

@@ -14,12 +14,14 @@ namespace {
 
 /// One upload that reached the server in time. With a quantizing transport
 /// codec the client fills `wire` (the encoded delta) instead of `state`; the
-/// server decodes (or probes, on the streaming path) when it collects the
-/// slot.
+/// server probes the frame when it collects the slot, and decodes it into
+/// `state` only when a client callback needs the local state.
 struct Delivery {
   int client = 0;
   nn::ModelState state;
   std::vector<std::uint8_t> wire;
+  /// Passes the finiteness rule (always true when the rule is off).
+  bool finite_ok = false;
   double update_norm = 0.0;
 };
 
@@ -36,9 +38,8 @@ double finite_median_norm(const std::vector<Delivery>& delivered) {
   return norms[mid];
 }
 
-/// Why an update was quarantined, or nullptr if it is acceptable. Callers
-/// pass finite_ok = !defense.validate_finite || <update is all-finite>, so
-/// finiteness is only computed when the rule is on.
+/// Why an update was quarantined, or nullptr if it is acceptable.
+/// `median_norm` is 0 when the cohort is too small to define one.
 const char* rejection_reason(bool finite_ok, double update_norm, const DefenseConfig& defense,
                              double median_norm) {
   if (!finite_ok) return "non-finite values";
@@ -88,13 +89,41 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
   // compatibility.
   const auto layout = global.layout();
 
-  // The streaming hierarchical aggregator, reused (reset) across rounds. The
-  // norm-outlier rule is the one validation that needs the whole cohort's
-  // norms before any accept/reject decision, so it forces buffering; every
-  // other defense is per-update and streams. Both modes fold accepted
-  // updates in cohort order through this tree, so they agree bit-for-bit.
+  // The streaming hierarchical aggregator, reused (reset) across rounds.
+  // Accepted updates fold into it in cohort order, wave by wave.
   ShardTree tree(layout, config.aggregation);
-  const bool streaming = !(config.defense.norm_outlier_multiplier > 0.0f);
+  // The norm-outlier rule is the one validation that needs the whole
+  // cohort's norms before any accept/reject decision, so with it on a wave
+  // is the whole cohort; every other rule decides per update.
+  const bool whole_cohort_waves = config.defense.norm_outlier_multiplier > 0.0f;
+
+  // Measures one delivery for validation: its update norm and whether it
+  // passes the finiteness rule. A wire frame is probed block by block (no
+  // fp32 state is materialized) unless the client callback needs the local
+  // state, in which case it is decoded. Returns false for a frame that
+  // cannot be decoded.
+  auto measure = [&](Delivery& d) {
+    if (!d.wire.empty()) {
+      try {
+        if (!client_callback) {
+          const ShardTree::WireProbe probe = tree.probe_quantized(d.wire, global);
+          d.update_norm = probe.norm;
+          d.finite_ok = !config.defense.validate_finite || probe.finite;
+          return true;
+        }
+        const nn::ModelState delta = decode_delta(d.wire, layout);
+        d.state = global;
+        nn::axpy(d.state, delta, 1.0f);
+      } catch (const nn::StateError&) {
+        return false;
+      }
+      d.wire.clear();
+      d.wire.shrink_to_fit();
+    }
+    d.update_norm = nn::l2_distance(d.state, global);
+    d.finite_ok = !config.defense.validate_finite || nn::all_finite(d.state);
+    return true;
+  };
 
   for (int round = config.start_round; round < config.rounds; ++round) {
     for (int attempt = 0; attempt < config.defense.max_round_attempts; ++attempt) {
@@ -120,8 +149,6 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
       tree.reset();
       std::int64_t accepted_count = 0;
       std::int64_t accepted_samples = 0;
-      std::vector<Delivery> delivered;  // buffered mode only
-      if (!streaming) delivered.reserve(cohort.size());
 
       const int pool_threads = ThreadPool::global().threads();
       const int n_workers = static_cast<int>(
@@ -133,80 +160,20 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
         }
       }
 
-      // Accepts one delivery on the streaming path: validate with the
-      // per-update rules, surface it to the client callback, fold it into
-      // the tree and forget it. Wire-framed deliveries are probed (decoded
-      // block-by-block, no fp32 state materialized) unless the client
-      // callback needs the full state anyway.
-      auto stream_delivery = [&](Delivery&& d) {
-        const char* reason = nullptr;
-        bool fold_wire = false;
-        if (!d.wire.empty() && !client_callback) {
-          ShardTree::WireProbe probe;
-          try {
-            probe = tree.probe_quantized(d.wire, global);
-          } catch (const nn::StateError&) {
-            ++cost.quarantined_updates;
-            QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
-                        << " (undecodable transport frame)";
-            return;
-          }
-          d.update_norm = probe.norm;
-          reason = rejection_reason(!config.defense.validate_finite || probe.finite,
-                                    d.update_norm, config.defense, 0.0);
-          fold_wire = true;
-        } else {
-          if (!d.wire.empty()) {
-            // The client callback needs the materialized local state, so
-            // decode the frame the buffered way for this one delivery.
-            try {
-              const nn::ModelState delta = decode_delta(d.wire, layout);
-              d.state = global;
-              nn::axpy(d.state, delta, 1.0f);
-            } catch (const nn::StateError&) {
-              ++cost.quarantined_updates;
-              QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
-                          << " (undecodable transport frame)";
-              return;
-            }
-          }
-          d.update_norm = nn::l2_distance(d.state, global);
-          reason = rejection_reason(!config.defense.validate_finite || nn::all_finite(d.state),
-                                    d.update_norm, config.defense, 0.0);
-        }
-        if (reason != nullptr) {
-          ++cost.quarantined_updates;
-          QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
-                      << " (" << reason << ")";
-          return;
-        }
-        const auto samples = client_data[static_cast<std::size_t>(d.client)].size();
-        // Raw sample-count weights: the normalizer (total accepted samples)
-        // is only known after the last fold, so finalize applies it once.
-        if (fold_wire) {
-          tree.fold_quantized(d.client, d.wire, global, static_cast<double>(samples));
-        } else {
-          if (client_callback) client_callback(round, d.client, d.state, global);
-          tree.fold(d.client, d.state, static_cast<double>(samples));
-        }
-        ++accepted_count;
-        accepted_samples += samples;
-      };
-
       // Client phase: run local updates, apply injected faults. Client c's
       // work depends only on (round, attempt, c) and the global state — its
       // RNG is tag-split, never drawn from a shared stream — so clients can
       // execute in any order, including concurrently. Each client writes its
       // delivery slot and a private CostMeter; both are merged in cohort
       // order below, keeping every downstream number independent of the
-      // thread count. Streaming mode processes the cohort in bounded waves,
-      // folding each wave's accepted updates before the next wave runs, so
-      // at most one wave of states is alive at a time; buffered mode (norm
-      // outlier on) is a single whole-cohort wave.
+      // thread count. The cohort runs in waves, and each wave's accepted
+      // updates fold before the next wave runs, so at most one wave of
+      // uploads is alive at a time. The wave size changes no bit: accepted
+      // updates fold in cohort order whatever it is.
       const std::size_t wave_size =
-          streaming ? std::max<std::size_t>(1, parallel ? 4 * static_cast<std::size_t>(n_workers)
-                                                        : 1)
-                    : cohort.size();
+          whole_cohort_waves ? cohort.size()
+                             : (parallel ? 4 * static_cast<std::size_t>(n_workers) : 1);
+      std::vector<Delivery> delivered;
       for (std::size_t wave_begin = 0; wave_begin < cohort.size(); wave_begin += wave_size) {
         const std::size_t wave_end = std::min(cohort.size(), wave_begin + wave_size);
         const std::size_t wave_len = wave_end - wave_begin;
@@ -286,49 +253,29 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
           for (std::size_t idx = wave_begin; idx < wave_end; ++idx) run_client(idx, model);
         }
 
-        // Collect the wave in cohort order.
+        // Server phase, serial in cohort order. First measure each delivery
+        // (an undecodable frame is quarantined like a corrupted upload),
+        // then validate it against the wave's median norm, then fold it.
+        delivered.clear();
         for (std::size_t idx = wave_begin; idx < wave_end; ++idx) {
           last_cost[static_cast<std::size_t>(cohort[idx])] = slot_costs[idx - wave_begin].total();
           cost += slot_costs[idx - wave_begin];
           if (!slots[idx - wave_begin]) continue;
-          Delivery d = std::move(*slots[idx - wave_begin]);
-          if (streaming) {
-            stream_delivery(std::move(d));
+          Delivery& d = *slots[idx - wave_begin];
+          if (!measure(d)) {
+            ++cost.quarantined_updates;
+            QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
+                        << " (undecodable transport frame)";
             continue;
-          }
-          if (!d.wire.empty()) {
-            // Serial decode in cohort order: reconstruct global + delta into
-            // the delivery before validation sees it. A frame that fails to
-            // decode is quarantined exactly like a corrupted raw upload.
-            try {
-              const nn::ModelState delta = decode_delta(d.wire, layout);
-              d.state = global;
-              nn::axpy(d.state, delta, 1.0f);
-            } catch (const nn::StateError&) {
-              ++cost.quarantined_updates;
-              QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
-                          << " (undecodable transport frame)";
-              continue;
-            }
-            d.wire.clear();
-            d.wire.shrink_to_fit();
           }
           delivered.push_back(std::move(d));
         }
-      }
-
-      if (!streaming) {
-        // Server phase (buffered): validate deliveries before they touch the
-        // aggregate. l2_distance walks both flat buffers directly — no
-        // difference state is materialized per upload.
-        for (auto& d : delivered) d.update_norm = nn::l2_distance(d.state, global);
-        const double median_norm = finite_median_norm(delivered);
-        for (auto& d : delivered) {
-          // The outlier rule needs a crowd to define "normal"; with fewer
-          // than 3 deliveries only the absolute checks apply.
-          const char* reason = rejection_reason(
-              !config.defense.validate_finite || nn::all_finite(d.state), d.update_norm,
-              config.defense, delivered.size() >= 3 ? median_norm : 0.0);
+        // The outlier rule needs a crowd to define "normal"; with fewer than
+        // 3 deliveries only the absolute checks apply.
+        const double median_norm = delivered.size() >= 3 ? finite_median_norm(delivered) : 0.0;
+        for (const Delivery& d : delivered) {
+          const char* reason =
+              rejection_reason(d.finite_ok, d.update_norm, config.defense, median_norm);
           if (reason != nullptr) {
             ++cost.quarantined_updates;
             QD_LOG_WARN << "round " << round << ": quarantined update from client " << d.client
@@ -337,11 +284,17 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
           }
           if (client_callback) client_callback(round, d.client, d.state, global);
           const auto samples = client_data[static_cast<std::size_t>(d.client)].size();
-          tree.fold(d.client, d.state, static_cast<double>(samples));
+          // Raw sample-count weights: the normalizer (total accepted
+          // samples) is only known after the last fold, so finalize applies
+          // it once.
+          if (d.wire.empty()) {
+            tree.fold(d.client, d.state, static_cast<double>(samples));
+          } else {
+            tree.fold_quantized(d.client, d.wire, global, static_cast<double>(samples));
+          }
           ++accepted_count;
           accepted_samples += samples;
         }
-        delivered.clear();
       }
 
       // Quorum: how many valid updates does this round need?
@@ -378,6 +331,12 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
     if (cursor_callback) cursor_callback(round, global, rng);
   }
   return global;
+}
+
+std::int64_t total_samples(const std::vector<data::Dataset>& client_data) {
+  std::int64_t n = 0;
+  for (const auto& d : client_data) n += d.size();
+  return n;
 }
 
 }  // namespace quickdrop::fl

@@ -1,6 +1,7 @@
-// Fault-tolerant federation round engine.
+// Fault-tolerant federation round engine: the one FedAvg round path for FL
+// training, SGA unlearning, recovery, relearning and every baseline.
 //
-// Executes blocks of FedAvg-style rounds while surviving the fault model of
+// Executes blocks of FedAvg rounds while surviving the fault model of
 // fl/faults.h: crashed clients are skipped, stragglers' late uploads are
 // discarded, and corrupted uploads are quarantined by a server-side
 // validation pass (finiteness + norm-outlier checks). A quorum policy can
@@ -11,14 +12,15 @@
 // checkpointing (see core/checkpoint.h RoundCursor).
 //
 // Aggregation streams through the fl/shard_tree.h hierarchical accumulator:
-// with no norm-outlier rule configured, accepted updates fold into per-lane
-// double accumulators wave-by-wave and are discarded, so a round's peak
-// server memory is O(params) regardless of cohort size (DESIGN.md §16).
-//
-// fl/fedavg.h::run_fedavg is a thin façade over this engine.
+// accepted updates fold into per-lane double accumulators wave by wave and
+// are discarded. With no norm-outlier rule configured a wave is a few
+// clients, so a round's peak server memory is O(params) regardless of cohort
+// size; with the rule on a wave is the whole cohort (DESIGN.md §16).
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "data/dataset.h"
 #include "fl/client_update.h"
@@ -77,20 +79,19 @@ struct ResilientConfig {
   ModelFactory client_model_factory;
   /// Client→server update transport. With a quantizing codec, each client
   /// ships its encoded state delta (see fl/quantize.h) instead of the raw
-  /// fp32 state; the server decodes and reconstructs `global + delta` before
-  /// validation, and a delta that fails to decode is quarantined like a
+  /// fp32 state; the server validates and folds `global + delta` straight
+  /// from the frame, and a delta that fails to decode is quarantined like a
   /// corrupted upload. Uploaded-byte accounting reflects the wire size.
   TransportConfig transport;
   /// Shard-tree aggregation topology (fl/shard_tree.h). Every accepted update
   /// folds through the canonical 64-lane streaming accumulator regardless of
   /// the shard count, so the merged bits are identical for any
   /// shards/fanout setting; the knobs re-partition ownership + accounting.
-  /// When the defense has no norm-outlier rule (the only validation that
-  /// needs the whole cohort's norms at once), the engine streams: each
-  /// accepted update is folded and discarded wave-by-wave, holding O(params)
-  /// server memory instead of the whole cohort. With the outlier rule on it
-  /// buffers deliveries as before — both modes fold in cohort order and
-  /// produce bit-identical globals for the same accepted set.
+  /// Each accepted update is folded and discarded wave by wave. The
+  /// norm-outlier rule (the only validation that needs the cohort's norms at
+  /// once) makes a wave the whole cohort; otherwise a wave holds a few
+  /// clients. Updates fold in cohort order either way, so the wave size
+  /// never changes the global's bits.
   AggregationConfig aggregation;
 };
 
@@ -109,5 +110,8 @@ nn::ModelState run_resilient(nn::Module& model, nn::ModelState global,
                              const RoundCallback& callback = {},
                              const ClientStateCallback& client_callback = {},
                              const RoundCursorCallback& cursor_callback = {});
+
+/// Total samples across client datasets.
+std::int64_t total_samples(const std::vector<data::Dataset>& client_data);
 
 }  // namespace quickdrop::fl

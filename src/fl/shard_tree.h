@@ -1,11 +1,9 @@
 // Sharded hierarchical aggregation: leaf shards → regional aggregators → root.
 //
-// The resilient round engine used to materialize every cohort update and
-// merge with nn::weighted_average — O(cohort × params) server memory. The
-// ShardTree is the streaming replacement: every arriving update is folded
+// The resilient round engine's aggregator: every accepted update is folded
 // immediately into a per-lane double accumulator (nn/state_accumulator.h) and
-// discarded, so a round's peak server memory is O(params), independent of
-// cohort size.
+// discarded, so the merge itself holds O(params) server memory, independent
+// of cohort size.
 //
 // Topology and determinism:
 //
@@ -19,9 +17,8 @@
 //     bits.
 //   * Within a lane, updates fold in arrival order. The engine delivers
 //     accepted updates in cohort order (deterministic per round seed), so the
-//     fold order — and therefore the merged bits — is identical whether the
-//     engine streams update-by-update or buffers the whole cohort first, at
-//     any thread count.
+//     fold order — and therefore the merged bits — is identical whatever its
+//     wave size, at any thread count.
 //   * `fanout` configures the simulated regional-aggregator topology above
 //     the shards (levels(), per-shard accounting for the scale bench); like
 //     `shards` it never changes bits.
@@ -49,7 +46,7 @@
 namespace quickdrop::fl {
 
 /// Shard-tree topology, threaded from the CLI (--shards / --shard-fanout)
-/// through QuickDropConfig/FedAvgConfig/ResilientConfig into the engine.
+/// through QuickDropConfig/ResilientConfig into the engine.
 struct AggregationConfig {
   /// Leaf shard count. Must be a power of two in [1, 64] so every shard owns
   /// an aligned subtree of the canonical 64-lane combine (see header).

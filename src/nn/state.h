@@ -10,8 +10,9 @@
 // Ownership: FlatState owns its buffer; copies are deep (unlike Tensor
 // handles, a copied state never aliases the original). The layout is shared
 // via shared_ptr and immutable, so states derived from one another
-// (zeros_like, subtract, weighted_average, deserialization with a matching
-// hash) reuse a single manifest instead of re-describing shapes per state.
+// (zeros_like, subtract, deserialization with a matching hash, an
+// accumulator's finalize) reuse a single manifest instead of re-describing
+// shapes per state.
 //
 // Determinism: every kernel here parallelizes over util::ThreadPool with
 // fixed-block partitioning — block boundaries depend only on the element
@@ -70,7 +71,7 @@ class StateLayout {
 
   /// Hoisted fixed-block partition: bounds of kStateBlock-sized blocks over
   /// [0, total()), computed once per layout and reused by every reduction and
-  /// by weighted_average's fold across clients and rounds (block b spans
+  /// by the accumulators' folds across clients and rounds (block b spans
   /// [block_bounds()[b], block_bounds()[b+1])).
   [[nodiscard]] const std::vector<std::int64_t>& block_bounds() const { return block_bounds_; }
   [[nodiscard]] std::int64_t num_blocks() const {
@@ -176,12 +177,6 @@ double l2_distance(const ModelState& a, const ModelState& b);
 /// uses this to quarantine corrupted client uploads and to enforce that
 /// aggregated global states stay finite.
 bool all_finite(const ModelState& state);
-
-/// Sum_i weights[i] * states[i]; weights need not be normalized by callers —
-/// they are used as given (FedAvg passes |D_i|/|D|). Each output entry is
-/// accumulated in double precision over the clients in index order, so many
-/// small-weight clients do not lose low-order bits.
-ModelState weighted_average(std::span<const ModelState> states, std::span<const float> weights);
 
 /// Number of scalar entries.
 std::int64_t state_numel(const ModelState& state);

@@ -1,17 +1,14 @@
-// Streaming weighted-average accumulator over the flat parameter plane.
-//
-// `weighted_average` (state.h) is the *batch* merge: it needs every client
-// state alive at once, so server memory grows linearly with cohort size. The
-// StateAccumulator is the streaming counterpart: callers fold one update at a
-// time into per-lane double accumulators and discard it, so a round's peak
-// memory is O(lanes × params) regardless of how many clients report.
+// Streaming weighted-average accumulator over the flat parameter plane: the
+// one merge of client states. Callers fold one update at a time into
+// per-lane double accumulators and discard it, so a merge's peak memory is
+// O(lanes × params) regardless of how many clients report.
 //
 // Canonical fold order (the bitwise-determinism contract, DESIGN.md §16):
 //
 //   * The accumulator owns a fixed set of `lanes()` leaf lanes (kLanes == 64
 //     canonically). Each fold targets one lane; within a lane, elements
-//     accumulate in fold-call order through the same `wavg_fold` kernel chain
-//     as weighted_average (acc[i] += w * (double)x[i]).
+//     accumulate in fold-call order through the `wavg_fold` kernel chain
+//     (acc[i] += w * (double)x[i]).
 //   * finalize() combines the lanes bottom-up through a FIXED binary tree
 //     (stride 1, 2, 4, ... pairwise double adds). A pair with one absent side
 //     propagates the present buffer untouched — no arithmetic against zeros —
@@ -23,9 +20,9 @@
 //     chains are independent of the chunk cut, so results are bitwise
 //     identical at any --threads.
 //
-// A single-lane accumulator fed in client index order reproduces
-// weighted_average's bits exactly (same per-element fold chain, same store
-// rounding) — tests/nn/state_accumulator_test.cpp pins this.
+// A single-lane accumulator fed in client index order reproduces a serial
+// double-precision weighted sum rounded once to float, bit for bit —
+// tests/nn/state_accumulator_test.cpp pins this against a test-local oracle.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +66,8 @@ class StateAccumulator {
   [[nodiscard]] std::int64_t folds() const { return folds_; }
 
   /// Collapses the lane tree and rounds the root to float: o[i] = (float)acc[i].
-  /// Bitwise-equal to weighted_average for a single-lane accumulator fed in
-  /// index order. Throws StateError when nothing was folded. The accumulator
-  /// is consumed: fold again only after reset().
+  /// Throws StateError when nothing was folded. The accumulator is consumed:
+  /// fold again only after reset().
   ModelState finalize();
 
   /// Collapse, then o[i] = (float)(acc[i] * scale) in one pass — the

@@ -56,8 +56,8 @@ struct Kernels {
   /// difference is formed first, then widened — matches l2_norm over
   /// subtract(a, b) bit-for-bit.
   double (*sum_squared_diff)(const float* a, const float* b, std::int64_t n);
-  /// acc[i] += w * (double)x[i] — one client's fold into the double
-  /// accumulator of weighted_average.
+  /// acc[i] += w * (double)x[i] — one client's fold into a lane of the
+  /// double accumulator (nn/state_accumulator.h).
   void (*wavg_fold)(double* acc, const float* x, double w, std::int64_t n);
   /// o[i] = (float)acc[i] — round the finished accumulator to float.
   void (*wavg_store)(float* o, const double* acc, std::int64_t n);

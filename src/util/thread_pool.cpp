@@ -87,8 +87,10 @@ struct ThreadPool::Impl {
   }
 };
 
-ThreadPool::ThreadPool(int threads) : impl_(new Impl), threads_(threads) {
+ThreadPool::ThreadPool(int threads) : threads_(threads) {
+  // Checked before allocating: a throwing constructor runs no destructor.
   if (threads < 1) throw std::invalid_argument("ThreadPool: need at least one thread");
+  impl_ = new Impl;
   impl_->workers.reserve(static_cast<std::size_t>(threads - 1));
   for (int i = 0; i < threads - 1; ++i) {
     impl_->workers.emplace_back([this] { impl_->worker_loop(); });

@@ -8,7 +8,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 #include "metrics/evaluate.h"
 #include "nn/convnet.h"
 
@@ -49,11 +49,12 @@ struct Fixture {
 TEST(FailureInjectionTest, ModerateDropoutStillLearns) {
   Fixture f;
   SgdLocalUpdate update(5, 16, 0.1f);
-  FedAvgConfig cfg{.rounds = 10, .participation = 1.0f, .dropout_rate = 0.3f};
   CostMeter cost;
   Rng rng(3);
+  ResilientConfig cfg{.rounds = 10, .participation = 1.0f};
+  cfg.faults = FaultPlan::bernoulli_crash(rng.next_u64(), 0.3f);
   const auto state =
-      run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, cfg, rng, cost);
+      run_resilient(*f.model, nn::state_of(*f.model), f.clients, update, cfg, rng, cost);
   nn::load_state(*f.model, state);
   EXPECT_GT(metrics::accuracy(*f.model, f.tt.test), 0.6);
   // Fewer sample-gradients than the failure-free run would use.
@@ -64,63 +65,32 @@ TEST(FailureInjectionTest, ModerateDropoutStillLearns) {
 TEST(FailureInjectionTest, FullCohortCrashIsNoOpRound) {
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
-  // dropout_rate close to 1: most rounds lose everyone.
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f, .dropout_rate = 0.999f};
   CostMeter cost;
   Rng rng(3);
+  // Crash rate close to 1: most rounds lose everyone.
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f};
+  cfg.faults = FaultPlan::bernoulli_crash(rng.next_u64(), 0.999f);
   const auto init = nn::state_of(*f.model);
   int callbacks = 0;
-  const auto state = run_fedavg(*f.model, init, f.clients, update, cfg, rng, cost,
-                                [&](int, const nn::ModelState&) { ++callbacks; });
+  const auto state = run_resilient(*f.model, init, f.clients, update, cfg, rng, cost,
+                                   [&](int, const nn::ModelState&) { ++callbacks; });
   EXPECT_EQ(callbacks, 3);  // every round reports, even lost ones
   EXPECT_EQ(cost.rounds, 3);
   // With near-certain total failure the state is (almost surely) unchanged.
   EXPECT_NEAR(nn::l2_norm(nn::subtract(state, init)), 0.0, 1e-9);
 }
 
-TEST(FailureInjectionTest, ZeroDropoutMatchesBaseline) {
-  Fixture f;
-  SgdLocalUpdate update(2, 8, 0.1f);
-  CostMeter cost1, cost2;
-  Rng rng1(7), rng2(7);
-  const auto init = nn::state_of(*f.model);
-  FedAvgConfig plain{.rounds = 2, .participation = 1.0f};
-  FedAvgConfig with_zero{.rounds = 2, .participation = 1.0f, .dropout_rate = 0.0f};
-  const auto a = run_fedavg(*f.model, init, f.clients, update, plain, rng1, cost1);
-  const auto b = run_fedavg(*f.model, init, f.clients, update, with_zero, rng2, cost2);
-  EXPECT_NEAR(nn::l2_norm(nn::subtract(a, b)), 0.0, 1e-9);
-}
-
-TEST(FailureInjectionTest, ConfigValidation) {
-  Fixture f;
-  SgdLocalUpdate update(1, 8, 0.1f);
-  CostMeter cost;
-  Rng rng(3);
-  FedAvgConfig bad{.rounds = 1, .participation = 1.0f, .dropout_rate = 1.0f};
-  EXPECT_THROW(
-      run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, bad, rng, cost),
-      std::invalid_argument);
-  bad.dropout_rate = -0.1f;
-  EXPECT_THROW(
-      run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, bad, rng, cost),
-      std::invalid_argument);
-}
-
 TEST(FailureInjectionTest, NonFiniteConfigRejected) {
-  // Regression: NaN participation/dropout_rate used to slip past the range
-  // checks (NaN compares false against every bound).
+  // Regression: NaN participation used to slip past the range checks (NaN
+  // compares false against every bound). NaN and negative crash rates are
+  // rejected by FaultRates::validate (FaultRatesTest.ValidateRejectsBadRates).
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
   CostMeter cost;
   Rng rng(3);
-  FedAvgConfig bad{.rounds = 1, .participation = std::nanf(""), .dropout_rate = 0.0f};
+  ResilientConfig bad{.rounds = 1, .participation = std::nanf("")};
   EXPECT_THROW(
-      run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, bad, rng, cost),
-      std::invalid_argument);
-  bad.participation = 1.0f;
-  bad.dropout_rate = std::nanf("");
-  EXPECT_THROW(
-      run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, bad, rng, cost),
+      run_resilient(*f.model, nn::state_of(*f.model), f.clients, update, bad, rng, cost),
       std::invalid_argument);
 }
 
@@ -146,7 +116,7 @@ FaultRates mixed_rates() {
 TEST(FailureInjectionTest, SameSeedAndPlanAreBitwiseDeterministic) {
   // Acceptance: same seed + same FaultPlan => bitwise-identical final state.
   Fixture f;
-  FedAvgConfig cfg{.rounds = 6, .participation = 0.75f};
+  ResilientConfig cfg{.rounds = 6, .participation = 0.75f};
   cfg.faults = FaultPlan(41, mixed_rates());
   cfg.defense.norm_outlier_multiplier = 8.0f;
   cfg.defense.min_quorum = 0.5f;
@@ -157,7 +127,7 @@ TEST(FailureInjectionTest, SameSeedAndPlanAreBitwiseDeterministic) {
   for (int i = 0; i < 2; ++i) {
     SgdLocalUpdate update(2, 8, 0.1f);
     Rng rng(17);
-    results[i] = run_fedavg(*f.model, init, f.clients, update, cfg, rng, costs[i]);
+    results[i] = run_resilient(*f.model, init, f.clients, update, cfg, rng, costs[i]);
   }
   expect_states_bitwise_equal(results[0], results[1]);
   EXPECT_EQ(costs[0].crashed_clients, costs[1].crashed_clients);
@@ -172,17 +142,17 @@ TEST(FailureInjectionTest, PoisonedUploadsAreQuarantinedAndGlobalStaysFinite) {
   FaultRates rates;
   rates.corrupt_nan = 0.2f;
   rates.corrupt_inf = 0.1f;
-  FedAvgConfig cfg{.rounds = 8, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 8, .participation = 1.0f};
   cfg.faults = FaultPlan(23, rates);
   SgdLocalUpdate update(2, 8, 0.1f);
   CostMeter cost;
   Rng rng(9);
   int rounds_seen = 0;
-  const auto state = run_fedavg(*f.model, nn::state_of(*f.model), f.clients, update, cfg, rng,
-                                cost, [&](int, const nn::ModelState& g) {
-                                  ++rounds_seen;
-                                  EXPECT_TRUE(nn::all_finite(g));
-                                });
+  const auto state = run_resilient(*f.model, nn::state_of(*f.model), f.clients, update, cfg, rng,
+                                   cost, [&](int, const nn::ModelState& g) {
+                                     ++rounds_seen;
+                                     EXPECT_TRUE(nn::all_finite(g));
+                                   });
   EXPECT_EQ(rounds_seen, 8);
   EXPECT_TRUE(nn::all_finite(state));
   // Every corrupt draw in the schedule maps to exactly one quarantine entry
@@ -200,17 +170,17 @@ TEST(FailureInjectionTest, PoisonedUploadsAreQuarantinedAndGlobalStaysFinite) {
 
 TEST(FailureInjectionTest, ExplodedNormCaughtByOutlierRule) {
   Fixture f;
-  FedAvgConfig cfg{.rounds = 2, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
   cfg.faults.inject(0, 1, FaultKind::kExplodedNorm);
   cfg.defense.norm_outlier_multiplier = 8.0f;
-  FedAvgConfig undefended = cfg;
+  ResilientConfig undefended = cfg;
   undefended.defense.norm_outlier_multiplier = 0.0f;
   SgdLocalUpdate update1(2, 8, 0.1f), update2(2, 8, 0.1f);
   CostMeter cost1, cost2;
   Rng rng1(9), rng2(9);
   const auto init = nn::state_of(*f.model);
-  const auto defended = run_fedavg(*f.model, init, f.clients, update1, cfg, rng1, cost1);
-  const auto poisoned = run_fedavg(*f.model, init, f.clients, update2, undefended, rng2, cost2);
+  const auto defended = run_resilient(*f.model, init, f.clients, update1, cfg, rng1, cost1);
+  const auto poisoned = run_resilient(*f.model, init, f.clients, update2, undefended, rng2, cost2);
   EXPECT_EQ(cost1.quarantined_updates, 1);
   EXPECT_EQ(cost2.quarantined_updates, 0);
   // Undefended, the exploded update dominates the average.
@@ -222,18 +192,18 @@ TEST(FailureInjectionTest, QuorumFailureRetriesAndRecoversRound) {
   // Acceptance: a scripted first-attempt wipeout retries once and then the
   // run proceeds exactly like a fault-free one.
   Fixture f;
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f};
   for (int c = 0; c < 4; ++c) cfg.faults.inject(1, c, FaultKind::kCrash);
   cfg.defense.min_quorum = 0.5f;
   cfg.defense.max_round_attempts = 2;
   cfg.defense.retry_backoff_seconds = 2.0f;
-  FedAvgConfig clean{.rounds = 3, .participation = 1.0f};
+  ResilientConfig clean{.rounds = 3, .participation = 1.0f};
   SgdLocalUpdate update1(2, 8, 0.1f), update2(2, 8, 0.1f);
   CostMeter cost1, cost2;
   Rng rng1(13), rng2(13);
   const auto init = nn::state_of(*f.model);
-  const auto retried = run_fedavg(*f.model, init, f.clients, update1, cfg, rng1, cost1);
-  const auto baseline = run_fedavg(*f.model, init, f.clients, update2, clean, rng2, cost2);
+  const auto retried = run_resilient(*f.model, init, f.clients, update1, cfg, rng1, cost1);
+  const auto baseline = run_resilient(*f.model, init, f.clients, update2, clean, rng2, cost2);
   EXPECT_EQ(cost1.retried_rounds, 1);
   EXPECT_EQ(cost1.lost_rounds, 0);
   EXPECT_EQ(cost1.crashed_clients, 4);
@@ -243,13 +213,13 @@ TEST(FailureInjectionTest, QuorumFailureRetriesAndRecoversRound) {
 
 TEST(FailureInjectionTest, QuorumExhaustionLosesRoundAndCarriesGlobalOver) {
   Fixture f;
-  FedAvgConfig cfg{.rounds = 1, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 1, .participation = 1.0f};
   for (int c = 0; c < 4; ++c) cfg.faults.inject(0, c, FaultKind::kCrash);
   SgdLocalUpdate update(2, 8, 0.1f);
   CostMeter cost;
   Rng rng(13);
   const auto init = nn::state_of(*f.model);
-  const auto state = run_fedavg(*f.model, init, f.clients, update, cfg, rng, cost);
+  const auto state = run_resilient(*f.model, init, f.clients, update, cfg, rng, cost);
   EXPECT_EQ(cost.lost_rounds, 1);
   EXPECT_EQ(cost.rounds, 1);
   expect_states_bitwise_equal(state, init);
@@ -257,16 +227,16 @@ TEST(FailureInjectionTest, QuorumExhaustionLosesRoundAndCarriesGlobalOver) {
 
 TEST(FailureInjectionTest, StragglerSpendsComputeButIsNotAggregated) {
   Fixture f;
-  FedAvgConfig straggle{.rounds = 1, .participation = 1.0f};
+  ResilientConfig straggle{.rounds = 1, .participation = 1.0f};
   straggle.faults.inject(0, 2, FaultKind::kStraggler);
-  FedAvgConfig crash{.rounds = 1, .participation = 1.0f};
+  ResilientConfig crash{.rounds = 1, .participation = 1.0f};
   crash.faults.inject(0, 2, FaultKind::kCrash);
   SgdLocalUpdate update1(2, 8, 0.1f), update2(2, 8, 0.1f);
   CostMeter cost1, cost2;
   Rng rng1(13), rng2(13);
   const auto init = nn::state_of(*f.model);
-  const auto a = run_fedavg(*f.model, init, f.clients, update1, straggle, rng1, cost1);
-  const auto b = run_fedavg(*f.model, init, f.clients, update2, crash, rng2, cost2);
+  const auto a = run_resilient(*f.model, init, f.clients, update1, straggle, rng1, cost1);
+  const auto b = run_resilient(*f.model, init, f.clients, update2, crash, rng2, cost2);
   // Identical aggregate (the late upload is discarded either way) ...
   expect_states_bitwise_equal(a, b);
   EXPECT_EQ(cost1.straggler_timeouts, 1);
@@ -280,7 +250,7 @@ TEST(FailureInjectionTest, ResumeFromCursorMatchesUninterruptedRun) {
   // Acceptance: kill after round k, resume from the (state, rng) cursor,
   // land on a bitwise-identical final state.
   Fixture f;
-  FedAvgConfig cfg{.rounds = 6, .participation = 0.75f};
+  ResilientConfig cfg{.rounds = 6, .participation = 0.75f};
   cfg.faults = FaultPlan(41, mixed_rates());
   cfg.defense.min_quorum = 0.25f;
   cfg.defense.max_round_attempts = 2;
@@ -291,22 +261,22 @@ TEST(FailureInjectionTest, ResumeFromCursorMatchesUninterruptedRun) {
   Rng rng1(29);
   nn::ModelState cursor_state;
   std::vector<std::uint8_t> cursor_rng;
-  const auto full = run_fedavg(*f.model, init, f.clients, update1, cfg, rng1, cost1, {}, {},
-                               [&](int round, const nn::ModelState& g, const Rng& r) {
-                                 if (round == 2) {  // "crash" after 3 completed rounds
-                                   cursor_state = g;
-                                   cursor_rng = r.serialize();
-                                 }
-                               });
+  const auto full = run_resilient(*f.model, init, f.clients, update1, cfg, rng1, cost1, {}, {},
+                                  [&](int round, const nn::ModelState& g, const Rng& r) {
+                                    if (round == 2) {  // "crash" after 3 completed rounds
+                                      cursor_state = g;
+                                      cursor_rng = r.serialize();
+                                    }
+                                  });
   ASSERT_FALSE(cursor_rng.empty());
 
   SgdLocalUpdate update2(2, 8, 0.1f);
   CostMeter cost2;
   Rng rng2 = Rng::deserialize(cursor_rng);
-  FedAvgConfig resume = cfg;
+  ResilientConfig resume = cfg;
   resume.start_round = 3;
   const auto resumed =
-      run_fedavg(*f.model, cursor_state, f.clients, update2, resume, rng2, cost2);
+      run_resilient(*f.model, cursor_state, f.clients, update2, resume, rng2, cost2);
   expect_states_bitwise_equal(resumed, full);
 }
 

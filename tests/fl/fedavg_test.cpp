@@ -4,7 +4,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 #include "metrics/evaluate.h"
 #include "nn/convnet.h"
 
@@ -94,11 +94,11 @@ TEST(SgdLocalUpdateTest, Validation) {
 TEST(FedAvgTest, TrainingImprovesAccuracy) {
   Fixture f;
   SgdLocalUpdate update(5, 16, 0.1f);
-  FedAvgConfig cfg{.rounds = 8, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 8, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
-  const auto state = run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg,
-                                rng, cost);
+  const auto state = run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg,
+                                   rng, cost);
   nn::load_state(*f.scratch, state);
   EXPECT_GT(metrics::accuracy(*f.scratch, f.tt.test), 0.75);
   EXPECT_EQ(cost.rounds, 8);
@@ -108,44 +108,44 @@ TEST(FedAvgTest, TrainingImprovesAccuracy) {
 TEST(FedAvgTest, RoundCallbackFires) {
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
   std::vector<int> rounds;
-  run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost,
-             [&](int round, const nn::ModelState&) { rounds.push_back(round); });
+  run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost,
+                [&](int round, const nn::ModelState&) { rounds.push_back(round); });
   EXPECT_EQ(rounds, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(FedAvgTest, ClientCallbackSeesAllClients) {
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 2, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
   int calls = 0;
-  run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost, {},
-             [&](int round, int client, const nn::ModelState& local,
-                 const nn::ModelState& global) {
-               (void)round;
-               (void)client;
-               EXPECT_EQ(local.size(), global.size());
-               ++calls;
-             });
+  run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost, {},
+                [&](int round, int client, const nn::ModelState& local,
+                    const nn::ModelState& global) {
+                  (void)round;
+                  (void)client;
+                  EXPECT_EQ(local.size(), global.size());
+                  ++calls;
+                });
   EXPECT_EQ(calls, 2 * 3);
 }
 
 TEST(FedAvgTest, PartialParticipationSamplesSubset) {
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 4, .participation = 0.34f};  // 1 of 3 clients
+  ResilientConfig cfg{.rounds = 4, .participation = 0.34f};  // 1 of 3 clients
   CostMeter cost;
   Rng rng(5);
   std::set<int> seen;
-  run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost, {},
-             [&](int, int client, const nn::ModelState&, const nn::ModelState&) {
-               seen.insert(client);
-             });
+  run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost, {},
+                [&](int, int client, const nn::ModelState&, const nn::ModelState&) {
+                  seen.insert(client);
+                });
   // 1 client per round.
   EXPECT_EQ(cost.sample_grads, 4 * 1 * 1 * 8);
   EXPECT_GE(seen.size(), 1u);
@@ -156,14 +156,14 @@ TEST(FedAvgTest, SkipsEmptyClients) {
   std::vector<data::Dataset> clients = f.clients;
   clients.push_back(data::Dataset(f.tt.train.image_shape(), f.tt.train.num_classes()));
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 1, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 1, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
   std::set<int> seen;
-  run_fedavg(*f.scratch, nn::state_of(*f.scratch), clients, update, cfg, rng, cost, {},
-             [&](int, int client, const nn::ModelState&, const nn::ModelState&) {
-               seen.insert(client);
-             });
+  run_resilient(*f.scratch, nn::state_of(*f.scratch), clients, update, cfg, rng, cost, {},
+                [&](int, int client, const nn::ModelState&, const nn::ModelState&) {
+                  seen.insert(client);
+                });
   EXPECT_EQ(seen.count(3), 0u);
 }
 
@@ -172,11 +172,11 @@ TEST(FedAvgTest, AllEmptyThrows) {
   std::vector<data::Dataset> clients(2,
                                      data::Dataset(f.tt.train.image_shape(), 3));
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 1, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 1, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
   EXPECT_THROW(
-      run_fedavg(*f.scratch, nn::state_of(*f.scratch), clients, update, cfg, rng, cost),
+      run_resilient(*f.scratch, nn::state_of(*f.scratch), clients, update, cfg, rng, cost),
       std::invalid_argument);
 }
 
@@ -185,9 +185,9 @@ TEST(FedAvgTest, ConfigValidation) {
   SgdLocalUpdate update(1, 8, 0.1f);
   CostMeter cost;
   Rng rng(5);
-  FedAvgConfig bad{.rounds = 1, .participation = 0.0f};
+  ResilientConfig bad{.rounds = 1, .participation = 0.0f};
   EXPECT_THROW(
-      run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, bad, rng, cost),
+      run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, bad, rng, cost),
       std::invalid_argument);
 }
 
@@ -195,12 +195,12 @@ TEST(FedAvgTest, SingleIdenticalClientActsLikeLocalTraining) {
   // With one client, FedAvg == that client's local result.
   Fixture f;
   SgdLocalUpdate update(3, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 1, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 1, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
   const auto init = nn::state_of(*f.scratch);
   std::vector<data::Dataset> one = {f.clients[0]};
-  const auto fed_state = run_fedavg(*f.scratch, init, one, update, cfg, rng, cost);
+  const auto fed_state = run_resilient(*f.scratch, init, one, update, cfg, rng, cost);
 
   // Replay manually with the same RNG derivation.
   nn::load_state(*f.scratch, init);
@@ -233,10 +233,10 @@ TEST(CostMeterTest, Accumulates) {
 TEST(FedAvgTest, CommunicationAccounting) {
   Fixture f;
   SgdLocalUpdate update(1, 8, 0.1f);
-  FedAvgConfig cfg{.rounds = 2, .participation = 1.0f};
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
   CostMeter cost;
   Rng rng(5);
-  run_fedavg(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost);
+  run_resilient(*f.scratch, nn::state_of(*f.scratch), f.clients, update, cfg, rng, cost);
   const auto model_bytes = nn::state_bytes(nn::state_of(*f.scratch));
   // 2 rounds x 3 clients, one model up and one down per client per round.
   EXPECT_EQ(cost.bytes_up, 2 * 3 * model_bytes);

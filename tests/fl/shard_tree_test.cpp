@@ -3,13 +3,15 @@
 // quantized probe reproduces l2_distance/all_finite bit for bit;
 // fold_quantized equals decode-then-fold; malformed frames are rejected
 // before any lane is touched; and full resilient rounds produce identical
-// bits whether the engine streams (no outlier rule) or buffers the cohort
-// (outlier rule on), under faults and quantized transport alike.
+// bits whether the engine runs small waves (no outlier rule) or the whole
+// cohort as one wave (outlier rule on), under faults and quantized transport
+// alike.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -17,7 +19,7 @@
 
 #include "data/partition.h"
 #include "data/synthetic.h"
-#include "fl/fedavg.h"
+#include "fl/resilient.h"
 #include "fl/quantize.h"
 #include "fl/shard_tree.h"
 #include "nn/convnet.h"
@@ -241,16 +243,18 @@ struct Fixture {
     initial = nn::state_of(*scratch);
   }
 
-  ModelState run(const FedAvgConfig& cfg) {
+  ModelState run(const ResilientConfig& cfg, CostMeter* cost_out = nullptr) {
     SgdLocalUpdate update(2, 8, 0.1f);
     CostMeter cost;
     Rng rng(5);
-    return run_fedavg(*scratch, initial, clients, update, cfg, rng, cost);
+    ModelState state = run_resilient(*scratch, initial, clients, update, cfg, rng, cost);
+    if (cost_out) *cost_out = cost;
+    return state;
   }
 };
 
-FedAvgConfig engine_config() {
-  FedAvgConfig cfg{.rounds = 3, .participation = 1.0f};
+ResilientConfig engine_config() {
+  ResilientConfig cfg{.rounds = 3, .participation = 1.0f};
   FaultRates rates;
   rates.crash = 0.15f;
   rates.corrupt_nan = 0.1f;
@@ -284,17 +288,46 @@ TEST(ShardTreeEngineTest, RoundBitsInvariantAcrossShardsThreadsAndTransport) {
 
 TEST(ShardTreeEngineTest, StreamingMatchesBufferedModeBitwise) {
   Fixture f;
-  // outlier rule off → streaming wave path; a huge multiplier keeps the
-  // buffered path's median gate from rejecting anyone, so the accepted set —
-  // and therefore the fold order and bits — is identical in both modes.
-  auto streaming_cfg = engine_config();
-  streaming_cfg.defense.norm_outlier_multiplier = 0.0f;
-  streaming_cfg.aggregation = {.shards = 8, .fanout = 8};
-  auto buffered_cfg = streaming_cfg;
-  buffered_cfg.defense.norm_outlier_multiplier = 1e9f;
-  const ModelState streamed = f.run(streaming_cfg);
-  const ModelState buffered = f.run(buffered_cfg);
-  expect_bitwise_equal(streamed, buffered, "streaming vs buffered engine mode");
+  // Outlier rule off → one-client waves (serial); on → one whole-cohort
+  // wave. A huge multiplier keeps the median gate from rejecting anyone, so
+  // the accepted set — and therefore the fold order and bits — is identical
+  // at both wave sizes, for raw states and int8 frames alike.
+  for (const Codec codec : {Codec::kNone, Codec::kInt8}) {
+    auto streaming_cfg = engine_config();
+    streaming_cfg.defense.norm_outlier_multiplier = 0.0f;
+    streaming_cfg.aggregation = {.shards = 8, .fanout = 8};
+    streaming_cfg.transport.codec = codec;
+    auto buffered_cfg = streaming_cfg;
+    buffered_cfg.defense.norm_outlier_multiplier = 1e9f;
+    const ModelState streamed = f.run(streaming_cfg);
+    const ModelState buffered = f.run(buffered_cfg);
+    expect_bitwise_equal(streamed, buffered, "streaming vs buffered engine mode");
+  }
+}
+
+TEST(ShardTreeEngineTest, OutlierQuarantineOfInt8FrameMatchesCrash) {
+  // An exploded int8 upload is caught by the outlier rule from its probed
+  // norm alone and never reaches the tree: the global equals a run in which
+  // that client crashed before uploading.
+  Fixture f;
+  ASSERT_EQ(f.clients.size(), 6u);
+  ResilientConfig cfg{.rounds = 2, .participation = 1.0f};
+  cfg.transport.codec = Codec::kInt8;
+  cfg.defense.norm_outlier_multiplier = 8.0f;
+  auto exploded_cfg = cfg;
+  exploded_cfg.faults.inject(0, 3, FaultKind::kExplodedNorm);
+  auto crash_cfg = cfg;
+  crash_cfg.faults.inject(0, 3, FaultKind::kCrash);
+  CostMeter exploded_cost, crash_cost;
+  const ModelState exploded = f.run(exploded_cfg, &exploded_cost);
+  const ModelState crashed = f.run(crash_cfg, &crash_cost);
+  EXPECT_EQ(exploded_cost.quarantined_updates, 1);
+  EXPECT_EQ(crash_cost.quarantined_updates, 0);
+  EXPECT_EQ(crash_cost.crashed_clients, 1);
+  ASSERT_EQ(exploded.numel(), crashed.numel());
+  EXPECT_EQ(std::memcmp(exploded.data().data(), crashed.data().data(),
+                        static_cast<std::size_t>(exploded.numel()) * sizeof(float)),
+            0);
 }
 
 }  // namespace

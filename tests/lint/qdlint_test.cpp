@@ -276,7 +276,7 @@ TEST(LintRules, ExplicitCaptureInParallelRegionIsSilent) {
 
 TEST(LintRules, FlatStateRuleFiresInSrcButNotInStateImplOrTests) {
   const std::string src = "std::vector<Tensor> state;\n";
-  EXPECT_EQ(rules_of(analyze_as("src/fl/fedavg.cpp", src)),
+  EXPECT_EQ(rules_of(analyze_as("src/fl/resilient.cpp", src)),
             std::vector<std::string>{"api-flatstate"});
   EXPECT_EQ(rules_of(analyze_as("src/core/checkpoint.cpp", "std::vector<nn::Tensor> s;\n")),
             std::vector<std::string>{"api-flatstate"});

@@ -1,7 +1,8 @@
 // Parameter-plane tests: StateLayout hashing, FlatState kernels, the
-// double-precision weighted_average contract, thread-count invariance of the
-// pooled kernels, and fuzz-style negative tests over mutated serialized
-// streams (satellites of the flat-state refactor; see DESIGN.md §11).
+// double-precision weighted-average merge contract, thread-count invariance
+// of the pooled kernels, and fuzz-style negative tests over mutated
+// serialized streams (satellites of the flat-state refactor; see DESIGN.md
+// §11).
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 
 #include "nn/convnet.h"
 #include "nn/state.h"
+#include "merge_oracle.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -89,7 +91,8 @@ TEST(StateLayout, DerivedStatesShareTheManifest) {
   EXPECT_EQ(quickdrop::nn::zeros_like(a).layout().get(), a.layout().get());
   const std::vector<ModelState> states = {a, b};
   const std::vector<float> weights = {0.5f, 0.5f};
-  EXPECT_EQ(quickdrop::nn::weighted_average(states, weights).layout().get(), a.layout().get());
+  EXPECT_EQ(quickdrop::nn::testing::single_lane_merge(states, weights).layout().get(),
+            a.layout().get());
 }
 
 TEST(FlatState, ConstructorRejectsSizeMismatch) {
@@ -148,33 +151,25 @@ TEST(FlatState, FromTensorsMatchesPerTensorContents) {
 }
 
 // ---------------------------------------------------------------------------
-// weighted_average: double-precision accumulation
+// Weighted-average merge: double-precision accumulation
 // ---------------------------------------------------------------------------
 
 TEST(StateKernels, WeightedAverageMatchesSerialDoubleOracle) {
   // Many small-weight clients: float accumulation would lose low-order bits;
-  // the kernel must match a serial double-precision oracle bitwise.
+  // the merge must match a serial double-precision oracle bitwise.
   constexpr int kClients = 96;
   std::vector<ModelState> states;
   std::vector<float> weights;
   states.reserve(kClients);
-  float weight_sum = 0.0f;
   for (int c = 0; c < kClients; ++c) {
     states.push_back(make_state(kShapes, 0.01f * static_cast<float>(c)));
-    const float w = 1.0f / static_cast<float>(kClients + (c % 7));
-    weights.push_back(w);
-    weight_sum += w;
+    weights.push_back(1.0f / static_cast<float>(kClients + (c % 7)));
   }
-  (void)weight_sum;
-  const ModelState avg = quickdrop::nn::weighted_average(states, weights);
+  const ModelState avg = quickdrop::nn::testing::single_lane_merge(states, weights);
+  const ModelState oracle = quickdrop::nn::testing::serial_weighted_average(states, weights);
 
   for (std::int64_t u = 0; u < avg.numel(); ++u) {
-    double acc = 0.0;
-    for (int c = 0; c < kClients; ++c) {
-      acc += static_cast<double>(weights[static_cast<std::size_t>(c)]) *
-             static_cast<double>(states[static_cast<std::size_t>(c)].at(u));
-    }
-    ASSERT_EQ(avg.at(u), static_cast<float>(acc)) << "flat index " << u;
+    ASSERT_EQ(avg.at(u), oracle.at(u)) << "flat index " << u;
   }
 }
 
@@ -205,7 +200,7 @@ TEST(StateKernels, BitwiseIdenticalAcrossThreadCounts) {
     quickdrop::nn::axpy(r.axpy_out, b0, 0.3f);
     quickdrop::nn::scale(r.axpy_out, 1.7f);
     r.sub = quickdrop::nn::subtract(a0, b0);
-    r.avg = quickdrop::nn::weighted_average(clients, weights);
+    r.avg = quickdrop::nn::testing::single_lane_merge(clients, weights);
     r.norm = quickdrop::nn::l2_norm(a0);
     r.dist = quickdrop::nn::l2_distance(a0, b0);
     EXPECT_TRUE(quickdrop::nn::all_finite(r.avg));

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "nn/convnet.h"
+#include "merge_oracle.h"
 #include "nn/optimizer.h"
 #include "nn/state.h"
+#include "nn/state_accumulator.h"
 
 namespace quickdrop::nn {
 namespace {
@@ -105,14 +107,15 @@ TEST(StateTest, WeightedAverage) {
   const auto b = FlatState::from_tensors(std::vector<Tensor>{Tensor({1}, {10.0f})});
   const std::vector<ModelState> states = {a, b};
   const std::vector<float> weights = {0.25f, 0.75f};
-  const auto avg = weighted_average(states, weights);
+  const auto avg = testing::single_lane_merge(states, weights);
   EXPECT_FLOAT_EQ(avg.at(0), 7.5f);
 }
 
 TEST(StateTest, WeightedAverageValidation) {
-  const std::vector<ModelState> states;
-  const std::vector<float> weights;
-  EXPECT_THROW(weighted_average(states, weights), std::invalid_argument);
+  // A merge with nothing folded has no result.
+  const auto s = FlatState::from_tensors(std::vector<Tensor>{Tensor({1}, {1.0f})});
+  StateAccumulator acc(s.layout(), /*lanes=*/1);
+  EXPECT_THROW(acc.finalize(), std::invalid_argument);
 }
 
 TEST(StateTest, SerializeRoundTrip) {

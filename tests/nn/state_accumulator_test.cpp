@@ -1,8 +1,8 @@
 // Streaming StateAccumulator (nn/state_accumulator.h): single-lane folds
-// reproduce nn::weighted_average bit for bit, the canonical 64-lane combine
-// is bitwise-invariant across thread counts, fold_range is per-element
-// identical to fold, and the lifecycle contract (finalize consumes, reset
-// re-arms) is enforced.
+// reproduce a serial double-precision oracle bit for bit, the canonical
+// 64-lane combine is bitwise-invariant across thread counts, fold_range is
+// per-element identical to fold, and the lifecycle contract (finalize
+// consumes, reset re-arms) is enforced.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "merge_oracle.h"
 #include "nn/state.h"
 #include "nn/state_accumulator.h"
 #include "util/thread_pool.h"
@@ -64,7 +65,7 @@ TEST(StateAccumulator, SingleLaneMatchesWeightedAverageBitwise) {
     states.push_back(make_state(layout, 0.1f * static_cast<float>(c)));
     weights.push_back(0.05f + 0.11f * static_cast<float>(c));
   }
-  const ModelState batch = quickdrop::nn::weighted_average(states, weights);
+  const ModelState oracle = quickdrop::nn::testing::serial_weighted_average(states, weights);
 
   for (const int threads : {1, 4, 8}) {
     PoolScope pool(threads);
@@ -73,7 +74,7 @@ TEST(StateAccumulator, SingleLaneMatchesWeightedAverageBitwise) {
       acc.fold(states[c], static_cast<double>(weights[c]));
     }
     const ModelState streamed = acc.finalize();
-    expect_bitwise_equal(streamed, batch, "single-lane streaming vs weighted_average");
+    expect_bitwise_equal(streamed, oracle, "single-lane streaming vs serial oracle");
   }
 }
 

